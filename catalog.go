@@ -31,8 +31,9 @@ import (
 // id u64, nameLen u16, descLen u32, name, descriptor bytes.
 
 const (
-	catalogMagic   = 0xE05CA7A1
-	catSlotHdrSize = 4 + 8 + 4 + 4
+	catalogMagic    = 0xE05CA7A1
+	catSlotHdrSize  = 4 + 8 + 4 + 4
+	catEntryHdrSize = 8 + 2 + 4 // id, nameLen, descLen
 )
 
 // catalogRegionPages is the number of pages reserved after the header:
@@ -69,7 +70,7 @@ func (s *Store) writeCatalog() error {
 		if desc == nil {
 			continue
 		}
-		var hdr [14]byte
+		var hdr [catEntryHdrSize]byte
 		binary.BigEndian.PutUint64(hdr[0:], e.id)
 		binary.BigEndian.PutUint16(hdr[8:], uint16(len(n)))
 		binary.BigEndian.PutUint32(hdr[10:], uint32(len(desc)))
@@ -81,9 +82,8 @@ func (s *Store) writeCatalog() error {
 	binary.BigEndian.PutUint32(payload[0:], uint32(count))
 
 	ps := s.vol.PageSize()
-	if catSlotHdrSize+len(payload) > s.opts.CatalogPages*ps {
-		return fmt.Errorf("%w: catalog needs %d bytes, %d pages per slot reserved",
-			ErrCorruptStore, catSlotHdrSize+len(payload), s.opts.CatalogPages)
+	if err := s.catalogFits(len(payload)); err != nil {
+		return err
 	}
 	seq := s.catSeq + 1
 	buf := make([]byte, catSlotHdrSize, catSlotHdrSize+len(payload))
@@ -113,6 +113,51 @@ func (s *Store) writeCatalog() error {
 	}
 	s.catSeq = seq
 	return nil
+}
+
+// catalogFits reports ErrCatalogFull when a payload of n bytes does not
+// fit one catalog slot.
+func (s *Store) catalogFits(n int) error {
+	if need := catSlotHdrSize + n; need > s.opts.CatalogPages*s.vol.PageSize() {
+		return fmt.Errorf("%w: catalog needs %d bytes, %d pages per slot reserved",
+			ErrCatalogFull, need, s.opts.CatalogPages)
+	}
+	return nil
+}
+
+// reserveCatalog admits t's commit only if the catalog still fits one
+// slot once t's objects carry their new descriptors.  It runs before
+// the commit record is logged: a commit admitted and then unable to
+// write its catalog would leave a log that recovery cannot checkpoint.
+// Other commits' reservations count at their reserved size, so
+// concurrent admissions cannot overbook the slot.  Caller holds s.mu.
+//
+// eos:requires s.mu
+func (s *Store) reserveCatalog(t *Txn) error {
+	for _, to := range t.touched {
+		if to.entry.txnDirty == t.id {
+			to.entry.reserved = to.entry.obj.DescriptorLen()
+		}
+	}
+	n := 4 // entry count
+	for name, e := range s.catalog {
+		desc := e.reserved
+		if e.txnDirty != t.id {
+			desc = max(desc, len(e.loadStableDesc()))
+		}
+		if desc > 0 {
+			n += catEntryHdrSize + len(name) + desc
+		}
+	}
+	err := s.catalogFits(n)
+	if err != nil {
+		for _, to := range t.touched {
+			if to.entry.txnDirty == t.id {
+				to.entry.reserved = 0
+			}
+		}
+	}
+	return err
 }
 
 // readCatalogSlot loads and validates one slot, returning its sequence
@@ -167,13 +212,13 @@ func (s *Store) readCatalog() error {
 	count := int(binary.BigEndian.Uint32(payload[0:]))
 	off := 4
 	for i := 0; i < count; i++ {
-		if off+14 > len(payload) {
+		if off+catEntryHdrSize > len(payload) {
 			return fmt.Errorf("%w: truncated catalog", ErrCorruptStore)
 		}
 		id := binary.BigEndian.Uint64(payload[off:])
 		nameLen := int(binary.BigEndian.Uint16(payload[off+8:]))
 		descLen := int(binary.BigEndian.Uint32(payload[off+10:]))
-		off += 14
+		off += catEntryHdrSize
 		if off+nameLen+descLen > len(payload) {
 			return fmt.Errorf("%w: truncated catalog entry", ErrCorruptStore)
 		}

@@ -53,6 +53,9 @@ var (
 	// ErrCorruptStore is returned when the store header or catalog fails
 	// validation.
 	ErrCorruptStore = errors.New("eos: corrupt store")
+	// ErrCatalogFull is returned when the descriptors no longer fit in
+	// a catalog slot (Options.CatalogPages pages).
+	ErrCatalogFull = errors.New("eos: catalog full")
 	// ErrTxnDone is returned when a finished transaction is reused.
 	ErrTxnDone = errors.New("eos: transaction already committed or aborted")
 )
@@ -115,12 +118,6 @@ type Options struct {
 	// reads and replaces on one object then run concurrently; a short
 	// per-object latch keeps index traversals physically safe.
 	RangeLocking bool
-	// SerialWAL disables the buffered log tail and leader/follower group
-	// commit, reproducing the original serial write path: every log
-	// append issues its own positional write and every commit forces the
-	// log itself.  The write-path benchmarks use it as their baseline;
-	// durability semantics are identical either way.
-	SerialWAL bool
 	// SnapshotHistory is how many superseded committed root versions
 	// each object retains alongside the newest one (default 4).  A
 	// snapshot reader holding an epoch pin can step across the retained
@@ -143,16 +140,6 @@ type Options struct {
 	// page size must be a multiple of 512), bypassing the OS page
 	// cache so benchmarks measure the device rather than RAM.
 	DirectIO bool
-	// CrashShadow enables the file backend's crash simulation: pre-
-	// images of unforced pages are tracked so Device.Crash reverts
-	// them.  Costs one extra read per first write after a force; meant
-	// for recovery tests, not production or benchmarks.
-	CrashShadow bool
-	// IODepth > 0 routes buffer-pool write-back through the async I/O
-	// dispatcher with that many workers and queue slots, overlapping a
-	// checkpoint's coalesced runs in flight instead of issuing them one
-	// blocking call at a time.  0 keeps write-back synchronous.
-	IODepth int
 }
 
 // Backend names a volume implementation for CreateAt/OpenAt.
@@ -216,6 +203,10 @@ type catEntry struct {
 	name     string
 	obj      *lob.Object
 	txnDirty uint64 // id of the transaction holding it dirty, or 0
+	// reserved is the descriptor length an admitted, not yet published
+	// commit will give the object (see reserveCatalog); 0 when none.
+	// Guarded by Store.mu, like txnDirty.
+	reserved int
 
 	// stableDesc is the descriptor of the object's last committed
 	// (published) state; nil means the object has never committed and
@@ -259,17 +250,16 @@ func (e *catEntry) loadStableDesc() []byte {
 type Store struct {
 	vol    disk.Device
 	logVol disk.Device
-	disp   *disk.Dispatcher // async write-back dispatcher; nil when IODepth == 0
 	// ownsVols marks volumes built by CreateAt/OpenAt, which Close
 	// releases; volumes handed to Format/Open stay the caller's.
 	ownsVols bool
 	pool     *buffer.Pool
-	buddy  *buddy.Manager
-	lm     *lob.Manager
-	log    *wal.Log
-	locks  *txn.LockTable
-	epochs *txn.EpochManager
-	opts   Options
+	buddy    *buddy.Manager
+	lm       *lob.Manager
+	log      *wal.Log
+	locks    *txn.LockTable
+	epochs   *txn.EpochManager
+	opts     Options
 
 	mu       sync.Mutex
 	catalog  map[string]*catEntry
@@ -362,19 +352,18 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 	// grows at retire-rate × scan-duration; unbounded, it can transiently
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
-	s.attachDispatcher()
 	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
 	if err != nil {
 		return nil, err
 	}
-	if opts.SerialWAL {
-		if err := s.log.SetGroupCommit(false); err != nil {
-			return nil, err
-		}
-	}
+	// A fresh store is built entirely in the pool: the Checkpoint below
+	// writes header, catalog and directories behind one force, and no
+	// earlier durable state exists for them to index.
+	//eoslint:ignore forcedom -- Format's metadata reaches disk only through the closing Checkpoint
 	if err := s.writeHeader(); err != nil {
 		return nil, err
 	}
+	//eoslint:ignore forcedom -- Format's metadata reaches disk only through the closing Checkpoint
 	if err := s.writeCatalog(); err != nil {
 		return nil, err
 	}
@@ -690,7 +679,6 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	// grows at retire-rate × scan-duration; unbounded, it can transiently
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
-	s.attachDispatcher()
 	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
 	if err != nil {
 		return nil, err
@@ -714,19 +702,9 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// attachDispatcher wires the async write-back dispatcher when IODepth
-// asks for one; the store owns its lifetime.
-func (s *Store) attachDispatcher() {
-	if s.opts.IODepth > 0 {
-		s.disp = disk.NewDispatcher(s.vol, s.opts.IODepth, s.opts.IODepth)
-		s.pool.SetDispatcher(s.disp)
-	}
-}
-
-// Close checkpoints the store, rejects further transactions, and shuts
-// down the async dispatcher.  Volumes built by CreateAt/OpenAt are
-// closed; volumes handed to Format/Open remain the caller's to save or
-// discard.
+// Close checkpoints the store and rejects further transactions.
+// Volumes built by CreateAt/OpenAt are closed; volumes handed to
+// Format/Open remain the caller's to save or discard.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if n := len(s.liveTxns); n > 0 {
@@ -739,11 +717,6 @@ func (s *Store) Close() error {
 	}
 	if err := s.Checkpoint(); err != nil {
 		return err
-	}
-	if s.disp != nil {
-		s.pool.SetDispatcher(nil) // later flushes fall back to synchronous
-		s.disp.Close()
-		s.disp = nil
 	}
 	if s.ownsVols {
 		if err := s.vol.Close(); err != nil {
@@ -783,7 +756,7 @@ func (o Options) geometry() (int, disk.PageNum, disk.PageNum) {
 }
 
 func (o Options) fileOptions() disk.FileOptions {
-	return disk.FileOptions{Direct: o.DirectIO, CrashShadow: o.CrashShadow}
+	return disk.FileOptions{Direct: o.DirectIO}
 }
 
 // CreateAt formats a fresh store under dir using the backend named in

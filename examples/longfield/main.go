@@ -15,9 +15,18 @@ import (
 	"github.com/eosdb/eos/internal/disk"
 )
 
+// crashable wraps a simulated volume so the power failure below can
+// drop every write that was never forced.
+func crashable(pages disk.PageNum) *disk.CrashDevice {
+	d, err := disk.NewCrashDevice(disk.MustNewVolume(1024, pages, disk.DefaultCostModel()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	return d
+}
+
 func main() {
-	vol := disk.MustNewVolume(1024, 16384, disk.DefaultCostModel())
-	logVol := disk.MustNewVolume(1024, 4096, disk.DefaultCostModel())
+	vol, logVol := crashable(16384), crashable(4096)
 	store, err := eos.Format(vol, logVol, eos.Options{Threshold: 8})
 	if err != nil {
 		log.Fatal(err)

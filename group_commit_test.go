@@ -239,7 +239,7 @@ func TestCommitNoForcePiggyback(t *testing.T) {
 	// followers pile up behind the leader's force.  On the file backend
 	// real fdatasync latency provides some batching but not reliably
 	// enough to assert on, so the piggyback ratio check needs the sim.
-	sv, ok := logVol.(*disk.Volume)
+	sv, ok := logVol.Inner().(*disk.Volume)
 	if !ok {
 		t.Skip("piggyback ratio assertion needs the simulator's latency model")
 	}

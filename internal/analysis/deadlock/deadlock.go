@@ -132,14 +132,13 @@ func (f *GraphFact) String() string { return fmt.Sprintf("lockgraph(%d edges)", 
 // self-deadlock.  Per-instance locks (object latches, pool shards,
 // per-transaction mutexes) may nest across instances and are excluded.
 var singletonKeys = map[string]bool{
-	"Store.mu":        true,
-	"LockTable.mu":    true,
-	"EpochManager.mu": true,
-	"Manager.mu":      true,
-	"Pool.flushMu":    true,
+	"Store.mu":         true,
+	"LockTable.mu":     true,
+	"EpochManager.mu":  true,
+	"Manager.mu":       true,
+	"Pool.flushMu":     true,
 	"Log.forceMu":      true,
 	"Log.mu":           true,
-	"Dispatcher.mu":    true,
 	"Volume.mu":        true,
 	"FileVolume.mu":    true,
 	"Volume.accMu":     true,

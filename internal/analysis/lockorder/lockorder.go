@@ -14,12 +14,12 @@
 //	rank 40  shard.mu           (buffer pool shard)
 //	rank 45  Log.forceMu        (group-commit leader force)
 //	rank 50  Log.mu             (write-ahead log buffer + tail state)
-//	rank 56  Dispatcher.mu      (async I/O close gate)
-//	rank 57  Batch.mu           (per-submitter completion state)
+//	rank 56  CrashDevice.mu     (test crash model; held across inner I/O)
+//	rank 57  CrashTrace.mu      (crash recording)
 //	rank 60  Volume.mu          (disk volume image)
-//	rank 62  FileVolume.mu      (file backend crash-shadow map)
+//	rank 62  FileVolume.mu      (file backend closed flag)
 //	rank 70  Volume.accMu       (disk access-time accounting)
-//	rank 72  FileVolume.accMu   (file backend accounting + fault state)
+//	rank 72  FileVolume.accMu   (file backend accounting)
 //
 // Acquiring a lock whose rank is lower than one already held inverts
 // the lattice; two goroutines taking the same pair in opposite orders

@@ -76,12 +76,12 @@ func LockRanks() map[string]int {
 		"shard.mu":         40,
 		"Log.forceMu":      45, // group-commit leader force; before Log.mu
 		"Log.mu":           50,
-		"Dispatcher.mu":    56, // async I/O close gate; held across the queue send, never I/O
-		"Batch.mu":         57, // per-submitter completion state; never held across I/O
+		"CrashDevice.mu":   56, // test crash model; held across inner-device I/O
+		"CrashTrace.mu":    57, // crash recording; leaf under CrashDevice.mu
 		"Volume.mu":        60,
-		"FileVolume.mu":    62, // crash-shadow map of the file backend
+		"FileVolume.mu":    62, // closed flag of the file backend
 		"Volume.accMu":     70,
-		"FileVolume.accMu": 72, // file-backend accounting and fault state
+		"FileVolume.accMu": 72, // file-backend accounting
 	}
 }
 

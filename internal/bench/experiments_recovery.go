@@ -19,12 +19,20 @@ func E12Recovery() (*Table, error) {
 		Claim:   "replace is logged; insert/delete/append shadow index pages and never overwrite leaf pages; the root LSN makes redo idempotent",
 		Headers: []string{"operation", "op bytes", "log bytes", "shadowed index pages", "commit pages forced"},
 	}
-	mkStore := func() (*eos.Store, *disk.Volume, *disk.Volume, error) {
-		vol, err := disk.NewVolume(1024, 8192, disk.DefaultCostModel())
+	// The volumes are wrapped in crash devices for the drill below.
+	mkVol := func(pages disk.PageNum) (*disk.CrashDevice, error) {
+		v, err := disk.NewVolume(1024, pages, disk.DefaultCostModel())
+		if err != nil {
+			return nil, err
+		}
+		return disk.NewCrashDevice(v)
+	}
+	mkStore := func() (*eos.Store, *disk.CrashDevice, *disk.CrashDevice, error) {
+		vol, err := mkVol(8192)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		logVol, err := disk.NewVolume(1024, 4096, disk.DefaultCostModel())
+		logVol, err := mkVol(4096)
 		if err != nil {
 			return nil, nil, nil, err
 		}

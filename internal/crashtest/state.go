@@ -1,69 +1,26 @@
+// Package crashtest is a systematic crash-state enumeration harness in
+// the CrashMonkey/ALICE tradition.  It wraps the store's volumes in
+// recording crash devices (disk.CrashDevice), captures every write and
+// force barrier issued by a seeded mixed workload, then reconstructs
+// the set of device states a power cut could have left behind — clean
+// prefixes between barriers, torn multi-page writes, and sampled
+// per-page subsets of the unforced writes in a force epoch — and runs
+// full recovery plus machine-checked invariants against each one.
+//
+// The durability model is disk.CrashImage's, the same one every
+// recovery test's CrashDevice applies: a single page write is atomic,
+// writes become stable only when a covering Force returns, and between
+// barriers the kernel and device may persist any subset of outstanding
+// page writes in any order.  A multi-page write may additionally be
+// torn: an arbitrary prefix of its pages reaches the platter.
 package crashtest
 
 import (
 	"hash/fnv"
 	"math/rand"
-	"sort"
 
 	"github.com/eosdb/eos/internal/disk"
 )
-
-// volModel replays one volume's trace, tracking for every page the last
-// durable (forced) image and the stack of volatile versions written
-// since the covering barrier.  Crash states are materialized by picking,
-// per page, one of those versions (or the durable base).
-type volModel struct {
-	ps       int
-	numPages int
-	base     [][]byte // durable page images; nil = all-zero page
-	// pending holds the volatile versions per page, oldest first.  Each
-	// slice element aliases the immutable Event data.
-	pending map[disk.PageNum][][]byte
-}
-
-func newVolModel(ps int, numPages disk.PageNum) *volModel {
-	return &volModel{
-		ps:       ps,
-		numPages: int(numPages),
-		base:     make([][]byte, numPages),
-		pending:  make(map[disk.PageNum][][]byte),
-	}
-}
-
-// apply replays one event into the model.
-func (m *volModel) apply(ev Event) {
-	switch ev.Kind {
-	case KindWrite, KindWriteRun:
-		for i := 0; i < ev.N; i++ {
-			p := ev.Start + disk.PageNum(i)
-			m.pending[p] = append(m.pending[p], ev.Data[i*m.ps:(i+1)*m.ps])
-		}
-	case KindForce:
-		for i := 0; i < ev.N; i++ {
-			m.promote(ev.Start + disk.PageNum(i))
-		}
-	case KindForceAll:
-		for p := range m.pending {
-			m.promote(p)
-		}
-	case KindForceAllExcept:
-		for p := range m.pending {
-			if !ev.Skip[p] {
-				m.promote(p)
-			}
-		}
-	}
-}
-
-// promote makes page p's newest volatile version durable.
-func (m *volModel) promote(p disk.PageNum) {
-	vs := m.pending[p]
-	if len(vs) == 0 {
-		return
-	}
-	m.base[p] = vs[len(vs)-1]
-	delete(m.pending, p)
-}
 
 // chooser selects, for one page, which version survives the power cut:
 // -1 keeps the durable base, k >= 0 keeps pending version k.
@@ -83,35 +40,6 @@ func chooseRand(rng *rand.Rand) chooser {
 	}
 }
 
-// resolve returns the page images the chosen crash state contains, page
-// by page (nil = zero page).  The result aliases model/event memory and
-// is only valid until the next apply; hash or copy it first.
-func (m *volModel) resolve(choose chooser, scratch [][]byte) [][]byte {
-	if cap(scratch) < m.numPages {
-		scratch = make([][]byte, m.numPages)
-	}
-	scratch = scratch[:m.numPages]
-	for i := range scratch {
-		scratch[i] = m.base[i]
-	}
-	// Iterate pending pages in sorted order: a stateful chooser (the
-	// subset sampler consumes an rng stream) must see pages in a
-	// deterministic sequence, or map iteration order would make the
-	// sampled states — and therefore the whole sweep — vary run to run.
-	pages := make([]disk.PageNum, 0, len(m.pending))
-	for p := range m.pending {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, p := range pages {
-		vs := m.pending[p]
-		if k := choose(p, len(vs)); k >= 0 {
-			scratch[int(p)] = vs[k]
-		}
-	}
-	return scratch
-}
-
 // materialize flattens resolved pages into one contiguous image.
 func materialize(pages [][]byte, ps int) []byte {
 	img := make([]byte, len(pages)*ps)
@@ -123,35 +51,7 @@ func materialize(pages [][]byte, ps int) []byte {
 	return img
 }
 
-var zeroPage [4096]byte
-
-// hashPages fingerprints a resolved page set without materializing it.
-func hashPages(h *stateHash, pages [][]byte, ps int) {
-	for _, p := range pages {
-		if p == nil {
-			p = zeroPage[:ps]
-		}
-		h.write(p)
-	}
-}
-
-// stateHash accumulates an FNV-64a fingerprint of a crash state (both
-// volumes' full images) for deduplication.
-type stateHash struct{ h uint64 }
-
-func newStateHash() *stateHash { return &stateHash{h: 1469598103934665603} }
-
-func (s *stateHash) write(b []byte) {
-	h := s.h
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	s.h = h
-}
-
-func (s *stateHash) sum() uint64 { return s.h }
-
+// hashBytes fingerprints one page image.
 func hashBytes(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)

@@ -94,7 +94,7 @@ type Result struct {
 type sweeper struct {
 	cfg    Config
 	oracle *Oracle
-	events []Event
+	events []disk.CrashEvent
 	seen   map[uint64]bool
 	// pageHash caches per-page fingerprints keyed by the page's backing
 	// array, so repeated states hash in O(pages) map lookups.
@@ -115,10 +115,16 @@ func Sweep(cfg Config) (*Result, error) {
 	}
 	sw.zeroHash = hashBytes(make([]byte, cfg.PageSize))
 
-	// Phase 1: trace the workload on the simulator.
-	clock := &Clock{}
-	dataDev := NewDevice(disk.MustNewVolume(cfg.PageSize, cfg.DataPages, disk.DefaultCostModel()), clock, 0)
-	logDev := NewDevice(disk.MustNewVolume(cfg.PageSize, cfg.LogPages, disk.DefaultCostModel()), clock, 1)
+	// Phase 1: record the workload on the simulator.
+	trace := &disk.CrashTrace{}
+	dataDev, err := recordedVolume(cfg.PageSize, cfg.DataPages, trace, 0)
+	if err != nil {
+		return nil, err
+	}
+	logDev, err := recordedVolume(cfg.PageSize, cfg.LogPages, trace, 1)
+	if err != nil {
+		return nil, err
+	}
 	st, err := eos.Format(dataDev, logDev, cfg.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("format traced store: %w", err)
@@ -127,23 +133,23 @@ func Sweep(cfg Config) (*Result, error) {
 	if wl.Seed == 0 {
 		wl.Seed = cfg.Seed
 	}
-	oracle, err := RunWorkload(st, clock, wl)
+	oracle, err := RunWorkload(st, trace, wl)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
 	sw.oracle = oracle
-	sw.events = clock.Events()
+	sw.events = trace.Events()
 	sw.res.Events = len(sw.events)
 	cfg.Logf("trace: %d events, %d commits, P0=%d", len(sw.events), len(oracle.Commits), oracle.P0)
 
 	// Phase 2: replay the trace, emitting crash states at every
 	// position.
-	models := [2]*volModel{
-		newVolModel(cfg.PageSize, cfg.DataPages),
-		newVolModel(cfg.PageSize, cfg.LogPages),
+	models := [2]*disk.CrashImage{
+		disk.NewCrashImage(cfg.PageSize, cfg.DataPages),
+		disk.NewCrashImage(cfg.PageSize, cfg.LogPages),
 	}
 	for _, ev := range sw.events[:oracle.P0] {
-		models[ev.Dev].apply(ev)
+		models[ev.Dev].Apply(ev)
 	}
 	scratch := [2][][]byte{}
 	for p := oracle.P0; ; p++ {
@@ -170,20 +176,31 @@ func Sweep(cfg Config) (*Result, error) {
 		}
 		// Family 4: torn splits of the next multi-page write.
 		ev := sw.events[p]
-		if (ev.Kind == KindWrite || ev.Kind == KindWriteRun) && ev.N > 1 {
+		if ev.Kind == disk.KindWrite && ev.N > 1 {
 			for _, k := range tornSplits(ev.N, cfg.TornCap, cfg.Seed^int64(p)) {
 				sw.candidate(models, chooseNewest, &torn{ev: ev, k: k}, p,
 					fmt.Sprintf("torn-%d/%d", k, ev.N), &scratch)
 			}
 		}
-		models[ev.Dev].apply(ev)
+		models[ev.Dev].Apply(ev)
 	}
 	return sw.res, nil
 }
 
+// recordedVolume builds a fresh simulator volume whose writes and
+// forces are recorded into trace under id.
+func recordedVolume(pageSize int, pages disk.PageNum, trace *disk.CrashTrace, id int) (*disk.CrashDevice, error) {
+	d, err := disk.NewCrashDevice(disk.MustNewVolume(pageSize, pages, disk.DefaultCostModel()))
+	if err != nil {
+		return nil, err
+	}
+	d.Record(trace, id)
+	return d, nil
+}
+
 // torn overlays the first k pages of a multi-page write onto a state.
 type torn struct {
-	ev Event
+	ev disk.CrashEvent
 	k  int
 }
 
@@ -211,24 +228,23 @@ func tornSplits(n, limit int, seed int64) []int {
 
 // candidate resolves one crash state, dedupes it, and (if new) runs the
 // full verification battery on it.
-func (sw *sweeper) candidate(models [2]*volModel, choose chooser, tr *torn, p int, label string, scratch *[2][][]byte) {
+func (sw *sweeper) candidate(models [2]*disk.CrashImage, choose chooser, tr *torn, p int, label string, scratch *[2][][]byte) {
 	sw.res.Candidates++
 	for dev := 0; dev < 2; dev++ {
-		scratch[dev] = models[dev].resolve(choose, scratch[dev])
+		scratch[dev] = models[dev].Resolve(choose, scratch[dev])
 	}
 	if tr != nil {
-		ps := models[tr.ev.Dev].ps
+		ps := sw.cfg.PageSize
 		for i := 0; i < tr.k; i++ {
 			scratch[tr.ev.Dev][int(tr.ev.Start)+i] = tr.ev.Data[i*ps : (i+1)*ps]
 		}
 	}
-	h := newStateHash()
+	key := uint64(1469598103934665603)
 	for dev := 0; dev < 2; dev++ {
 		for _, page := range scratch[dev] {
-			h.h = h.h*1099511628211 ^ sw.hashPage(page)
+			key = key*1099511628211 ^ sw.hashPage(page)
 		}
 	}
-	key := h.sum()
 	if sw.seen[key] {
 		return
 	}
@@ -375,11 +391,21 @@ func (sw *sweeper) verifyRecrash(dataImg, logImg []byte, p int, label string) {
 		sw.violate(p, label, "materialize", "%v", err)
 		return
 	}
+	dataDev, err := disk.NewCrashDevice(vol)
+	if err != nil {
+		sw.violate(p, label, "materialize", "%v", err)
+		return
+	}
+	logDev, err := disk.NewCrashDevice(logVol)
+	if err != nil {
+		sw.violate(p, label, "materialize", "%v", err)
+		return
+	}
 	rng := rand.New(rand.NewSource(sw.cfg.Seed ^ int64(p)<<20))
 	budget := int64(1 + rng.Intn(60))
-	vol.FailAfter(budget, errInjected)
-	st, err := eos.Open(vol, logVol, sw.cfg.Opts)
-	vol.ClearFault()
+	dataDev.FailAfter(budget, errInjected)
+	st, err := eos.Open(dataDev, logDev, sw.cfg.Opts)
+	dataDev.ClearFault()
 	if err == nil {
 		// Fault budget never hit; the store is open and must be sane.
 		if cerr := st.Check(); cerr != nil {
@@ -391,15 +417,15 @@ func (sw *sweeper) verifyRecrash(dataImg, logImg []byte, p int, label string) {
 		sw.violate(p, label, "recrash", "faulted recovery returned foreign error: %v", err)
 		return
 	}
-	if err := vol.Crash(); err != nil {
+	if err := dataDev.Crash(); err != nil {
 		sw.violate(p, label, "recrash", "crash: %v", err)
 		return
 	}
-	if err := logVol.Crash(); err != nil {
+	if err := logDev.Crash(); err != nil {
 		sw.violate(p, label, "recrash", "crash log: %v", err)
 		return
 	}
-	st2, err := eos.Open(vol, logVol, sw.cfg.Opts)
+	st2, err := eos.Open(dataDev, logDev, sw.cfg.Opts)
 	if err != nil {
 		sw.violate(p, label, "recrash", "clean recovery after interrupted recovery: %v", err)
 		return

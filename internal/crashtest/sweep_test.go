@@ -44,8 +44,8 @@ func TestCrashSweep(t *testing.T) {
 		t.Fatalf("sweep: %v", err)
 	}
 	report(t, res)
-	if !testing.Short() && res.States < 1000 {
-		t.Fatalf("sweep enumerated only %d distinct states, want >= 1000", res.States)
+	if !testing.Short() && res.States < 1500 {
+		t.Fatalf("sweep enumerated only %d distinct states, want >= 1500", res.States)
 	}
 }
 

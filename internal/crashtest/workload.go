@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/eosdb/eos"
+	"github.com/eosdb/eos/internal/disk"
 )
 
 // Commit is one oracle mark: a transaction whose Commit call entered at
@@ -90,8 +91,8 @@ func mapsEqual(a, b map[string]uint64) bool {
 // WorkloadConfig tunes the seeded churn the sweep traces.
 type WorkloadConfig struct {
 	// Trace, when set, receives a line per workload action with the
-	// clock position, for debugging sweep violations.
-	Trace func(format string, args ...any)
+	// trace position, for debugging sweep violations.
+	Trace       func(format string, args ...any)
 	Seed        int64
 	Txns        int // committed-or-aborted transactions to attempt
 	Objects     int // object-name pool size (default 6)
@@ -119,17 +120,17 @@ func (c *WorkloadConfig) defaults() {
 	}
 }
 
-// RunWorkload drives the mixed churn against st (built over traced
-// devices sharing clock) and returns the oracle.  It deliberately ends
+// RunWorkload drives the mixed churn against st (built over crash
+// devices recording into trace) and returns the oracle.  It deliberately ends
 // with an uncommitted transaction still in flight, so the trace tail
 // exercises in-flight undo; the store is NOT closed.
-func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, error) {
+func RunWorkload(st *eos.Store, trace *disk.CrashTrace, cfg WorkloadConfig) (*Oracle, error) {
 	cfg.defaults()
 	if cfg.Trace == nil {
 		cfg.Trace = func(string, ...any) {}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	oracle := &Oracle{P0: clock.Seq()}
+	oracle := &Oracle{P0: trace.Len()}
 	model := map[string][]byte{} // committed content
 
 	for i := 0; i < cfg.Txns; i++ {
@@ -142,7 +143,7 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 		if err != nil {
 			return nil, fmt.Errorf("begin txn %d: %w", i, err)
 		}
-		cfg.Trace("seq %d: txn %d begins", clock.Seq(), i)
+		cfg.Trace("seq %d: txn %d begins", trace.Len(), i)
 		staged := map[string]*[]byte{} // nil pointer = destroyed in this txn
 		nOps := 1 + rng.Intn(3)
 		opErr := error(nil)
@@ -164,10 +165,10 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 			if err := tx.Abort(); err != nil {
 				return nil, fmt.Errorf("abort txn %d: %w", i, err)
 			}
-			cfg.Trace("seq %d: txn %d aborted", clock.Seq(), i)
+			cfg.Trace("seq %d: txn %d aborted", trace.Len(), i)
 		default:
 			force := rng.Intn(100) < 70
-			beginSeq := clock.Seq()
+			beginSeq := trace.Len()
 			if force {
 				err = tx.Commit()
 			} else {
@@ -176,7 +177,7 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 			if err != nil {
 				return nil, fmt.Errorf("commit txn %d: %w", i, err)
 			}
-			retSeq := clock.Seq()
+			retSeq := trace.Len()
 			cfg.Trace("seq %d-%d: txn %d committed (force=%v)", beginSeq, retSeq, i, force)
 			applyStaged(model, staged)
 			sizes := make(map[string]int, len(model))

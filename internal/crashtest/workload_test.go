@@ -15,14 +15,20 @@ import (
 // before it starts — here simply by comparing against the last commit
 // mark after a clean recovery of the full clean-prefix state.)
 func TestWorkloadModelMatchesStore(t *testing.T) {
-	clock := &Clock{}
-	dataDev := NewDevice(disk.MustNewVolume(512, 4096, disk.DefaultCostModel()), clock, 0)
-	logDev := NewDevice(disk.MustNewVolume(512, 1024, disk.DefaultCostModel()), clock, 1)
+	trace := &disk.CrashTrace{}
+	dataDev, err := recordedVolume(512, 4096, trace, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logDev, err := recordedVolume(512, 1024, trace, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, err := eos.Format(dataDev, logDev, eos.Options{Threshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := RunWorkload(st, clock, WorkloadConfig{Seed: 42, Txns: 30, NoLoser: true})
+	oracle, err := RunWorkload(st, trace, WorkloadConfig{Seed: 42, Txns: 30, NoLoser: true})
 	if err != nil {
 		t.Fatal(err)
 	}

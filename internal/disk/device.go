@@ -3,12 +3,10 @@ package disk
 // Device is the volume abstraction the rest of the engine is written
 // against: a linear array of fixed-size pages with contiguous multi-page
 // transfers, vectored run writes, an explicit durability boundary
-// (Force*), I/O accounting, and the fault/crash hooks the recovery tests
-// drive.  Two implementations exist:
+// (Force*) and I/O accounting.  Two backends exist:
 //
-//   - Volume, the simulator: pages live in memory, every request is
-//     charged against a parametric seek/transfer cost model, and crash
-//     semantics (which writes survive) are modelled exactly.  It is the
+//   - Volume, the simulator: pages live in memory and every request is
+//     charged against a parametric seek/transfer cost model.  It is the
 //     deterministic substrate for the paper-reproduction experiments.
 //
 //   - FileVolume, the real backend: pages live in an ordinary file,
@@ -17,9 +15,13 @@ package disk
 //     record measured wall-clock time instead of modelled time, so the
 //     same benchmarks produce hardware-grounded numbers.
 //
-// Both implementations are safe for concurrent use.  Code written
-// against Device (the buffer pool, the WAL, the buddy allocator, the
-// LOB manager, the store) runs unmodified on either backend.
+// CrashDevice wraps either backend for the recovery tests: it decides
+// which writes survive a simulated power cut and injects faults (see
+// crash.go).
+//
+// All three are safe for concurrent use.  Code written against Device
+// (the buffer pool, the WAL, the buddy allocator, the LOB manager, the
+// store) runs unmodified on any of them.
 type Device interface {
 	// PageSize reports the page size in bytes.
 	PageSize() int
@@ -46,8 +48,6 @@ type Device interface {
 	// ForceAllExcept makes every written page durable except those in
 	// skip, which stay volatile (see the transaction layer for why).
 	ForceAllExcept(skip map[PageNum]bool) error
-	// DirtyPages reports how many written pages have not been forced.
-	DirtyPages() int
 
 	// Stats returns a snapshot of the accumulated I/O statistics.
 	Stats() Stats
@@ -55,17 +55,6 @@ type Device interface {
 	ResetStats()
 	// SetTracer installs fn to observe every request; nil disables.
 	SetTracer(fn func(TraceEvent))
-
-	// FailAfter arms fault injection: after n more successful requests
-	// every request fails with err until ClearFault.
-	FailAfter(n int64, err error)
-	// ClearFault disarms fault injection.
-	ClearFault()
-	// Crash simulates a power failure: every page reverts to its last
-	// forced image (when the backend tracks one) and volatile state is
-	// lost.  Statistics reset, as a restarted system observes a cold
-	// device.
-	Crash() error
 
 	// Close releases the backend's resources (a no-op for the
 	// simulator).  The device must not be used afterwards.

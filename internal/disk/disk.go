@@ -12,10 +12,9 @@
 // elapsed time under a parametric cost model.
 //
 // Data is held in memory; the simulation is about cost accounting, not
-// persistence.  Durability semantics needed by the recovery experiments
-// (which writes survive a crash) are provided by CrashPoint support: a
-// Volume distinguishes pages that have been "forced" (survive a simulated
-// crash) from pages written but not yet forced.
+// persistence.  Which writes survive a crash is decided by CrashDevice
+// (crash.go), which wraps a Volume or a FileVolume alike for the
+// recovery tests; a Volume's Force calls are range-checked no-ops.
 //
 // A Volume is safe for concurrent use, and reads proceed in parallel:
 // the page array is guarded by an RWMutex (reads share, writes exclude)
@@ -117,17 +116,15 @@ func (s Stats) String() string {
 type PageNum int64
 
 // Volume is a simulated disk: a linear array of fixed-size pages with
-// seek/transfer cost accounting and crash semantics.
+// seek/transfer cost accounting.
 //
 // A Volume is safe for concurrent use; each request is atomic, and read
 // requests overlap each other.
 type Volume struct {
-	mu       sync.RWMutex // guards data, durable, dirty
+	mu       sync.RWMutex // guards data
 	pageSize int
 	numPages PageNum
-	data     []byte           // eos:guardedby mu -- numPages * pageSize
-	durable  []byte           // eos:guardedby mu -- last forced image of every page (crash survivors)
-	dirty    map[PageNum]bool // eos:guardedby mu
+	data     []byte // eos:guardedby mu -- numPages * pageSize
 
 	// accMu guards the accounting state below.  It is always acquired
 	// while holding mu (shared or exclusive) and held only for the few
@@ -137,11 +134,6 @@ type Volume struct {
 	model   CostModel // eos:guardedby accMu
 	stats   Stats     // eos:guardedby accMu
 	headPos PageNum   // eos:guardedby accMu -- page following the last transferred page; -1 unknown
-
-	// Fault injection: when faultAfter reaches zero, every subsequent
-	// request fails with faultErr until ClearFault.
-	faultAfter int64 // eos:guardedby accMu
-	faultErr   error // eos:guardedby accMu
 
 	tracer func(TraceEvent)
 
@@ -165,8 +157,6 @@ func NewVolume(pageSize int, numPages PageNum, model CostModel) (*Volume, error)
 		pageSize: pageSize,
 		numPages: numPages,
 		data:     make([]byte, int64(numPages)*int64(pageSize)),
-		durable:  make([]byte, int64(numPages)*int64(pageSize)),
-		dirty:    make(map[PageNum]bool),
 		model:    model,
 		headPos:  -1,
 	}, nil
@@ -211,8 +201,6 @@ func (v *Volume) ResetStats() {
 // fully serialized transfer path a global volume mutex used to enforce —
 // while higher values model a device with internal parallelism.  Must not
 // be toggled while requests are in flight.
-//
-//eoslint:ignore racecheck -- quiescent-point setter by documented contract; no request is in flight when latOn changes
 func (v *Volume) SetLatency(enabled bool, parallelism int) {
 	v.latOn = enabled
 	v.latSem = nil
@@ -239,38 +227,6 @@ func (v *Volume) SetTracer(fn func(TraceEvent)) {
 	v.accMu.Lock()
 	defer v.accMu.Unlock()
 	v.tracer = fn
-}
-
-// FailAfter arms fault injection: after n more successful requests,
-// every read and write fails with err until ClearFault.  Tests use this
-// to verify that I/O errors propagate cleanly through every layer.
-func (v *Volume) FailAfter(n int64, err error) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.faultAfter = n
-	v.faultErr = err
-}
-
-// ClearFault disarms fault injection.
-func (v *Volume) ClearFault() {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.faultErr = nil
-}
-
-// faultCheck consumes one request against the fault budget.  Caller
-// holds v.accMu.
-//
-// eos:requires v.accMu
-func (v *Volume) faultCheck() error {
-	if v.faultErr == nil {
-		return nil
-	}
-	if v.faultAfter > 0 {
-		v.faultAfter--
-		return nil
-	}
-	return v.faultErr
 }
 
 func (v *Volume) checkRange(start PageNum, n int) error {
@@ -338,14 +294,6 @@ func (v *Volume) ReadPages(start PageNum, n int, buf []byte) error {
 	done := v.admit()
 	v.mu.RLock()
 	v.accMu.Lock()
-	if err := v.faultCheck(); err != nil {
-		v.accMu.Unlock()
-		v.mu.RUnlock()
-		if done != nil {
-			done(0)
-		}
-		return err
-	}
 	v.stats.Reads++
 	v.stats.PagesRead += int64(n)
 	micros := v.charge(start, n, false)
@@ -369,8 +317,7 @@ func (v *Volume) Read(start PageNum, n int) ([]byte, error) {
 }
 
 // WritePages writes n physically contiguous pages starting at page start.
-// buf must be exactly n*PageSize bytes.  The write is volatile until the
-// pages are forced (Force/ForceAll) or until Settle is called.
+// buf must be exactly n*PageSize bytes.
 func (v *Volume) WritePages(start PageNum, n int, buf []byte) error {
 	if len(buf) != n*v.pageSize {
 		return fmt.Errorf("%w: got %d bytes for %d pages", ErrBadLength, len(buf), n)
@@ -381,23 +328,12 @@ func (v *Volume) WritePages(start PageNum, n int, buf []byte) error {
 	done := v.admit()
 	v.mu.Lock()
 	v.accMu.Lock()
-	if err := v.faultCheck(); err != nil {
-		v.accMu.Unlock()
-		v.mu.Unlock()
-		if done != nil {
-			done(0)
-		}
-		return err
-	}
 	v.stats.Writes++
 	v.stats.PagesWritten += int64(n)
 	micros := v.charge(start, n, true)
 	v.accMu.Unlock()
 	off := int64(start) * int64(v.pageSize)
 	copy(v.data[off:], buf)
-	for i := 0; i < n; i++ {
-		v.dirty[start+PageNum(i)] = true
-	}
 	v.mu.Unlock()
 	if done != nil {
 		done(micros)
@@ -424,14 +360,6 @@ func (v *Volume) WriteRun(start PageNum, pages [][]byte) error {
 	done := v.admit()
 	v.mu.Lock()
 	v.accMu.Lock()
-	if err := v.faultCheck(); err != nil {
-		v.accMu.Unlock()
-		v.mu.Unlock()
-		if done != nil {
-			done(0)
-		}
-		return err
-	}
 	v.stats.Writes++
 	v.stats.PagesWritten += int64(n)
 	v.stats.RunWrites++
@@ -441,7 +369,6 @@ func (v *Volume) WriteRun(start PageNum, pages [][]byte) error {
 	for i, p := range pages {
 		off := (int64(start) + int64(i)) * int64(v.pageSize)
 		copy(v.data[off:], p)
-		v.dirty[start+PageNum(i)] = true
 	}
 	v.mu.Unlock()
 	if done != nil {
@@ -450,81 +377,18 @@ func (v *Volume) WriteRun(start PageNum, pages [][]byte) error {
 	return nil
 }
 
-// Force makes the current contents of n pages starting at start durable:
-// they will survive a simulated crash.  Forcing already-durable pages is a
-// no-op for accounting purposes (the write itself was already charged).
+// Force checks the range and returns: the simulator's pages have no
+// volatile state to make durable.  Crash semantics live in CrashDevice.
 func (v *Volume) Force(start PageNum, n int) error {
-	if err := v.checkRange(start, n); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for i := 0; i < n; i++ {
-		p := start + PageNum(i)
-		if v.dirty[p] {
-			off := int64(p) * int64(v.pageSize)
-			copy(v.durable[off:off+int64(v.pageSize)], v.data[off:off+int64(v.pageSize)])
-			delete(v.dirty, p)
-		}
-	}
-	return nil
+	return v.checkRange(start, n)
 }
 
-// ForceAll makes every written page durable.  The error is always nil
-// for the simulator; the signature matches Device, whose file backend
-// can fail the sync.
-func (v *Volume) ForceAll() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for p := range v.dirty {
-		off := int64(p) * int64(v.pageSize)
-		copy(v.durable[off:off+int64(v.pageSize)], v.data[off:off+int64(v.pageSize)])
-	}
-	v.dirty = make(map[PageNum]bool)
-	return nil
-}
+// ForceAll is a no-op on the simulator; see Force.
+func (v *Volume) ForceAll() error { return nil }
 
-// ForceAllExcept makes every written page durable except those in skip,
-// which stay volatile.  The transaction layer uses it so that one
-// transaction's commit never forces another live transaction's in-place
-// writes to disk (the steal it cannot undo without that transaction's
-// log records being final).
-func (v *Volume) ForceAllExcept(skip map[PageNum]bool) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for p := range v.dirty {
-		if skip[p] {
-			continue
-		}
-		off := int64(p) * int64(v.pageSize)
-		copy(v.durable[off:off+int64(v.pageSize)], v.data[off:off+int64(v.pageSize)])
-		delete(v.dirty, p)
-	}
-	return nil
-}
-
-// Crash simulates a power failure: every page reverts to its last forced
-// image.  Statistics and head position are reset, as a restarted system
-// observes a cold device.
-func (v *Volume) Crash() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	copy(v.data, v.durable)
-	v.dirty = make(map[PageNum]bool)
-	v.accMu.Lock()
-	v.stats = Stats{}
-	v.headPos = -1
-	v.accMu.Unlock()
-	return nil
-}
+// ForceAllExcept is a no-op on the simulator; see Force.
+func (v *Volume) ForceAllExcept(map[PageNum]bool) error { return nil }
 
 // Close releases the volume.  The simulator holds no external
 // resources, so Close only exists to satisfy Device.
 func (v *Volume) Close() error { return nil }
-
-// DirtyPages reports how many written pages have not been forced.
-func (v *Volume) DirtyPages() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.dirty)
-}

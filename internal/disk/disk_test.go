@@ -16,6 +16,16 @@ func testVolume(t *testing.T, pageSize int, numPages PageNum) *Volume {
 	return v
 }
 
+// testCrash wraps inner in a CrashDevice.
+func testCrash(t *testing.T, inner Device) *CrashDevice {
+	t.Helper()
+	d, err := NewCrashDevice(inner)
+	if err != nil {
+		t.Fatalf("NewCrashDevice: %v", err)
+	}
+	return d
+}
+
 func TestNewVolumeValidation(t *testing.T) {
 	if _, err := NewVolume(0, 10, DefaultCostModel()); err == nil {
 		t.Error("zero page size accepted")
@@ -141,7 +151,7 @@ func TestCostModelCharging(t *testing.T) {
 }
 
 func TestWriteThenCrashReverts(t *testing.T) {
-	v := testVolume(t, 64, 8)
+	v := testCrash(t, testVolume(t, 64, 8))
 	one := bytes.Repeat([]byte{1}, 64)
 	two := bytes.Repeat([]byte{2}, 64)
 
@@ -178,7 +188,7 @@ func TestWriteThenCrashReverts(t *testing.T) {
 }
 
 func TestForceAll(t *testing.T) {
-	v := testVolume(t, 32, 8)
+	v := testCrash(t, testVolume(t, 32, 8))
 	payload := bytes.Repeat([]byte{9}, 32)
 	for p := PageNum(0); p < 8; p++ {
 		if err := v.WritePages(p, 1, payload); err != nil {
@@ -261,7 +271,10 @@ func TestQuickCrashDurability(t *testing.T) {
 		Val   byte
 		Force bool
 	}) bool {
-		v := MustNewVolume(ps, pages, CostModel{})
+		v, err := NewCrashDevice(MustNewVolume(ps, pages, CostModel{}))
+		if err != nil {
+			return false
+		}
 		durable := make(map[PageNum][]byte)
 		for _, op := range ops {
 			p := PageNum(op.Page % pages)
@@ -378,7 +391,7 @@ func TestWriteRunValidation(t *testing.T) {
 }
 
 func TestWriteRunVolatileUntilForce(t *testing.T) {
-	v := MustNewVolume(64, 8, CostModel{})
+	v := testCrash(t, MustNewVolume(64, 8, CostModel{}))
 	page := make([]byte, 64)
 	page[0] = 0xAB
 	if err := v.WriteRun(2, [][]byte{page}); err != nil {

@@ -13,9 +13,7 @@ import (
 // them:
 //
 //   - Volume *images* (SaveFile/LoadVolume): a flat snapshot of a
-//     simulator volume's durable state, for the command-line tools.
-//     Saving implies a ForceAll (a tool exiting cleanly is a clean
-//     shutdown) and a loaded volume starts with everything durable.
+//     simulator volume's pages, for the command-line tools.
 //
 //   - FileVolume's *native* format: a live page file the real backend
 //     reads and writes in place (see filevol.go).
@@ -30,15 +28,12 @@ const (
 	imageVersion = 1
 )
 
-// SaveFile forces all writes and stores the volume image at path.  The
+// SaveFile stores the volume image — every write so far — at path.  The
 // image is written to a temporary sibling and renamed into place after
 // an fsync, so an interrupted save can never leave a torn image where a
 // good one (or nothing) used to be; the directory is fsynced afterwards
 // so the rename itself survives a crash.
 func (v *Volume) SaveFile(path string) error {
-	if err := v.ForceAll(); err != nil {
-		return err
-	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -54,9 +49,9 @@ func (v *Volume) SaveFile(path string) error {
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
-		v.mu.Lock()
-		_, err := w.Write(v.durable)
-		v.mu.Unlock()
+		v.mu.RLock()
+		_, err := w.Write(v.data)
+		v.mu.RUnlock()
 		if err != nil {
 			return err
 		}
@@ -105,13 +100,11 @@ func LoadVolume(path string, model CostModel) (*Volume, error) {
 	// The volume is not yet shared, but take mu anyway so the image
 	// restore obeys the same discipline as every other page-data access.
 	v.mu.Lock()
-	_, err = io.ReadFull(r, v.durable)
+	_, err = io.ReadFull(r, v.data)
+	v.mu.Unlock()
 	if err != nil {
-		v.mu.Unlock()
 		return nil, fmt.Errorf("disk: truncated volume image: %w", err)
 	}
-	copy(v.data, v.durable)
-	v.mu.Unlock()
 	return v, nil
 }
 

@@ -36,8 +36,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("content lost across save/load")
 	}
 	// Loaded state is durable: a crash changes nothing.
-	v2.Crash()
-	got, _ = v2.Read(5, 3)
+	d := testCrash(t, v2)
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ = d.Read(5, 3)
 	if !bytes.Equal(got, want) {
 		t.Error("loaded image not durable")
 	}
@@ -99,7 +102,7 @@ func TestLoadVolumeRejectsTruncated(t *testing.T) {
 }
 
 func TestFaultInjection(t *testing.T) {
-	v := MustNewVolume(64, 8, CostModel{})
+	v := testCrash(t, MustNewVolume(64, 8, CostModel{}))
 	boom := errors.New("boom")
 	buf := make([]byte, 64)
 

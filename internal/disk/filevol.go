@@ -23,19 +23,13 @@ import (
 // flags); data page p lives at byte offset (p+1)*PageSize, so every
 // transfer is page-aligned — the alignment O_DIRECT requires.
 //
-// Crash simulation: the recovery tests need the simulator's "unforced
-// writes are lost" semantics on this backend too.  With
-// FileOptions.CrashShadow enabled, the volume snapshots the pre-image
-// of every page the first time it is written after a force; Crash
-// writes those pre-images back, so the file reverts exactly to its
-// last forced state.  The shadow costs one pread per first-touch and
-// is meant for tests — benchmarks leave it off.
+// Crash tests wrap a FileVolume in a CrashDevice, which reverts
+// unforced pages exactly as on the simulator.
 //
 // A FileVolume is safe for concurrent use: reads and writes are
-// positional (the kernel serializes overlapping extents), the shadow
-// map sits under mu, and the accounting under accMu.  Neither lock is
-// ever held across a data transfer, so concurrent requests overlap in
-// the kernel.
+// positional (the kernel serializes overlapping extents) and the
+// accounting sits under accMu, which is never held across a data
+// transfer, so concurrent requests overlap in the kernel.
 type FileVolume struct {
 	f        *os.File
 	path     string
@@ -43,26 +37,16 @@ type FileVolume struct {
 	numPages PageNum
 	direct   bool
 
-	// mu guards the crash-shadow map and the closed flag.  Rank 62 in
-	// the lattice: taken after any engine latch, before accMu.
-	mu       sync.Mutex
-	shadowOn bool
-	shadow   map[PageNum][]byte // eos:guardedby mu -- pre-images of unforced pages
-	closed   bool               // eos:guardedby mu
+	// mu guards the closed flag.  Rank 62 in the lattice: taken after
+	// any engine latch, before accMu.
+	mu     sync.Mutex
+	closed bool // eos:guardedby mu
 
-	// accMu guards the accounting and fault state, exactly like the
-	// simulator's.  Held only for counter updates, never across I/O.
+	// accMu guards the accounting, exactly like the simulator's.  Held
+	// only for counter updates, never across I/O.
 	accMu   sync.Mutex
 	stats   Stats   // eos:guardedby accMu
 	headPos PageNum // eos:guardedby accMu -- page following the last transfer; -1 unknown
-
-	faultAfter int64 // eos:guardedby accMu
-	faultErr   error // eos:guardedby accMu
-	// tornPages >= 0 arms torn-write injection: the next WriteRun
-	// writes only its first tornPages pages, then fails with tornErr —
-	// a partial writev, as a real crash mid-vector would leave it.
-	tornPages int64 // eos:guardedby accMu
-	tornErr   error // eos:guardedby accMu
 
 	tracer func(TraceEvent) // eos:guardedby accMu
 }
@@ -75,11 +59,6 @@ type FileOptions struct {
 	// filesystem supports it — Create/Open fail cleanly where the
 	// kernel refuses.  Unsupported off Linux.
 	Direct bool
-	// CrashShadow tracks pre-images of unforced pages so Crash() can
-	// revert them (the simulator's durability semantics).  Costs one
-	// pread the first time a page is written after a force; enable for
-	// crash-recovery tests, leave off for benchmarks.
-	CrashShadow bool
 }
 
 const (
@@ -209,20 +188,13 @@ func OpenFileVolume(path string, opts FileOptions) (*FileVolume, error) {
 }
 
 func newFileVolume(f *os.File, path string, pageSize int, numPages PageNum, opts FileOptions) *FileVolume {
-	var shadow map[PageNum][]byte
-	if opts.CrashShadow {
-		shadow = make(map[PageNum][]byte)
-	}
 	return &FileVolume{
-		f:         f,
-		path:      path,
-		pageSize:  pageSize,
-		numPages:  numPages,
-		direct:    opts.Direct,
-		shadowOn:  opts.CrashShadow,
-		shadow:    shadow,
-		headPos:   -1,
-		tornPages: -1,
+		f:        f,
+		path:     path,
+		pageSize: pageSize,
+		numPages: numPages,
+		direct:   opts.Direct,
+		headPos:  -1,
 	}
 }
 
@@ -263,35 +235,6 @@ func (v *FileVolume) SetTracer(fn func(TraceEvent)) {
 	v.tracer = fn
 }
 
-// FailAfter arms fault injection: after n more successful requests,
-// every read and write fails with err until ClearFault.
-func (v *FileVolume) FailAfter(n int64, err error) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.faultAfter = n
-	v.faultErr = err
-}
-
-// ClearFault disarms fault injection (both FailAfter and FailWriteRun).
-func (v *FileVolume) ClearFault() {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.faultErr = nil
-	v.tornPages = -1
-	v.tornErr = nil
-}
-
-// FailWriteRun arms torn-write injection: the next WriteRun writes only
-// its first pages pages to the file, then fails with err — the state a
-// crash mid-pwritev leaves behind.  Single-page writes are unaffected.
-// Disarmed by ClearFault or by firing once.
-func (v *FileVolume) FailWriteRun(pages int, err error) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.tornPages = int64(pages)
-	v.tornErr = err
-}
-
 // off returns the byte offset of page p (the header occupies the first
 // page-sized block).
 func (v *FileVolume) off(p PageNum) int64 {
@@ -305,18 +248,11 @@ func (v *FileVolume) checkRange(start PageNum, n int) error {
 	return nil
 }
 
-// begin accounts one request: fault budget, counters, seek detection,
-// tracing.  Wall-clock time is added separately by endTimed.
-func (v *FileVolume) begin(start PageNum, n int, write, run bool) error {
+// begin accounts one request: counters, seek detection, tracing.
+// Wall-clock time is added separately by endTimed.
+func (v *FileVolume) begin(start PageNum, n int, write, run bool) {
 	v.accMu.Lock()
 	defer v.accMu.Unlock()
-	if v.faultErr != nil {
-		if v.faultAfter > 0 {
-			v.faultAfter--
-		} else {
-			return v.faultErr
-		}
-	}
 	if write {
 		v.stats.Writes++
 		v.stats.PagesWritten += int64(n)
@@ -336,7 +272,6 @@ func (v *FileVolume) begin(start PageNum, n int, write, run bool) error {
 	if v.tracer != nil {
 		v.tracer(TraceEvent{Write: write, Start: start, Pages: n, Seek: seek})
 	}
-	return nil
 }
 
 // endTimed adds the measured duration of one request to the stats.
@@ -345,18 +280,6 @@ func (v *FileVolume) endTimed(began time.Time) {
 	v.accMu.Lock()
 	v.stats.Micros += micros
 	v.accMu.Unlock()
-}
-
-// takeTorn consumes an armed torn-write injection, if any.
-func (v *FileVolume) takeTorn() (int, error, bool) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	if v.tornPages < 0 {
-		return 0, nil, false
-	}
-	k, err := int(v.tornPages), v.tornErr
-	v.tornPages, v.tornErr = -1, nil
-	return k, err, true
 }
 
 // buffer returns a transfer buffer of n bytes: page-cache mode uses an
@@ -385,9 +308,7 @@ func (v *FileVolume) ReadPages(start PageNum, n int, buf []byte) error {
 	if err := v.checkRange(start, n); err != nil {
 		return err
 	}
-	if err := v.begin(start, n, false, false); err != nil {
-		return err
-	}
+	v.begin(start, n, false, false)
 	if n == 0 {
 		return nil
 	}
@@ -416,30 +337,6 @@ func (v *FileVolume) Read(start PageNum, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// shadowSave snapshots the pre-image of every not-yet-shadowed page in
-// [start, start+n) so Crash can revert the write about to happen.  The
-// pread bypasses accounting: it is simulation bookkeeping, not workload
-// I/O.
-func (v *FileVolume) shadowSave(start PageNum, n int) error {
-	if !v.shadowOn {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for i := 0; i < n; i++ {
-		p := start + PageNum(i)
-		if _, ok := v.shadow[p]; ok {
-			continue
-		}
-		pre := v.buffer(v.pageSize)
-		if _, err := v.f.ReadAt(pre, v.off(p)); err != nil {
-			return fmt.Errorf("disk: shadow pread %s: %w", v.path, err)
-		}
-		v.shadow[p] = pre
-	}
-	return nil
-}
-
 // WritePages writes n physically contiguous pages starting at page
 // start with one pwrite.  The write is volatile until a Force covers
 // it.
@@ -450,14 +347,9 @@ func (v *FileVolume) WritePages(start PageNum, n int, buf []byte) error {
 	if err := v.checkRange(start, n); err != nil {
 		return err
 	}
-	if err := v.begin(start, n, true, false); err != nil {
-		return err
-	}
+	v.begin(start, n, true, false)
 	if n == 0 {
 		return nil
-	}
-	if err := v.shadowSave(start, n); err != nil {
-		return err
 	}
 	began := time.Now()
 	defer v.endTimed(began)
@@ -486,33 +378,12 @@ func (v *FileVolume) WriteRun(start PageNum, pages [][]byte) error {
 	if err := v.checkRange(start, n); err != nil {
 		return err
 	}
-	if err := v.begin(start, n, true, true); err != nil {
-		return err
-	}
+	v.begin(start, n, true, true)
 	if n == 0 {
 		return nil
 	}
-	if err := v.shadowSave(start, n); err != nil {
-		return err
-	}
-	if k, terr, armed := v.takeTorn(); armed {
-		if k > n {
-			k = n
-		}
-		if k > 0 {
-			if err := v.writeRunPages(start, pages[:k]); err != nil {
-				return err
-			}
-		}
-		return terr
-	}
 	began := time.Now()
 	defer v.endTimed(began)
-	return v.writeRunPages(start, pages)
-}
-
-// writeRunPages performs the physical run write.
-func (v *FileVolume) writeRunPages(start PageNum, pages [][]byte) error {
 	if v.direct {
 		// Direct mode coalesces the run into one aligned buffer and a
 		// single pwrite: the copy is the price of alignment, and a
@@ -534,51 +405,21 @@ func (v *FileVolume) writeRunPages(start PageNum, pages [][]byte) error {
 
 // Force makes the current contents of n pages starting at start
 // durable via fdatasync.  fdatasync has no byte-range form, so the
-// whole file's data is synced; the range still bounds which shadow
-// pre-images are dropped, preserving the simulator's crash semantics
-// for the pages outside it.
+// whole file's data is synced.
 func (v *FileVolume) Force(start PageNum, n int) error {
 	if err := v.checkRange(start, n); err != nil {
 		return err
 	}
-	v.mu.Lock()
-	if v.shadowOn {
-		for i := 0; i < n; i++ {
-			delete(v.shadow, start+PageNum(i))
-		}
-	}
-	v.mu.Unlock()
 	return v.sync()
 }
 
 // ForceAll makes every written page durable.
-func (v *FileVolume) ForceAll() error {
-	v.mu.Lock()
-	if v.shadowOn {
-		v.shadow = make(map[PageNum][]byte)
-	}
-	v.mu.Unlock()
-	return v.sync()
-}
+func (v *FileVolume) ForceAll() error { return v.sync() }
 
-// ForceAllExcept makes every written page durable except those in
-// skip, which stay volatile.  Physically fdatasync makes everything
-// durable — "volatile" here means the skipped pages' shadow pre-images
-// are retained, so a simulated Crash still reverts them; that is
-// exactly the contract the transaction layer needs (one transaction's
-// commit must not make another's in-place writes survive a crash).
-func (v *FileVolume) ForceAllExcept(skip map[PageNum]bool) error {
-	v.mu.Lock()
-	if v.shadowOn {
-		for p := range v.shadow {
-			if !skip[p] {
-				delete(v.shadow, p)
-			}
-		}
-	}
-	v.mu.Unlock()
-	return v.sync()
-}
+// ForceAllExcept syncs like ForceAll: fdatasync cannot leave pages
+// out.  The skipped pages stay volatile only under CrashDevice, which
+// is where the transaction layer's contract is checked.
+func (v *FileVolume) ForceAllExcept(map[PageNum]bool) error { return v.sync() }
 
 // sync issues the backend's durability barrier (fdatasync on Linux)
 // and counts it.
@@ -592,40 +433,6 @@ func (v *FileVolume) sync() error {
 	if err != nil {
 		return fmt.Errorf("disk: fdatasync %s: %w", v.path, err)
 	}
-	return nil
-}
-
-// DirtyPages reports how many written pages have not been forced.
-// Zero when crash shadowing is disabled (nothing is tracked).
-func (v *FileVolume) DirtyPages() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.shadow)
-}
-
-// Crash simulates a power failure: every unforced page reverts to its
-// shadowed pre-image and the statistics reset.  Requires CrashShadow;
-// without it the file's current contents simply stand (a crash between
-// syncs on a real device may preserve them — or not).
-func (v *FileVolume) Crash() error {
-	v.mu.Lock()
-	for p, pre := range v.shadow {
-		if _, err := v.f.WriteAt(pre, v.off(p)); err != nil {
-			v.mu.Unlock()
-			return fmt.Errorf("disk: crash revert %s: %w", v.path, err)
-		}
-	}
-	if v.shadowOn {
-		v.shadow = make(map[PageNum][]byte)
-	}
-	v.mu.Unlock()
-	if err := v.sync(); err != nil {
-		return err
-	}
-	v.accMu.Lock()
-	v.stats = Stats{}
-	v.headPos = -1
-	v.accMu.Unlock()
 	return nil
 }
 

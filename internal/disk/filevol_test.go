@@ -202,49 +202,8 @@ func TestFileVolumeOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestFileVolumeCrashShadow(t *testing.T) {
-	v := testFileVolume(t, 64, 16, FileOptions{CrashShadow: true})
-	forced := bytes.Repeat([]byte{0x01}, 64)
-	if err := v.WritePages(3, 1, forced); err != nil {
-		t.Fatalf("WritePages: %v", err)
-	}
-	if err := v.Force(3, 1); err != nil {
-		t.Fatalf("Force: %v", err)
-	}
-	// Overwrite the forced page and write a fresh one; neither forced.
-	if err := v.WritePages(3, 1, bytes.Repeat([]byte{0x02}, 64)); err != nil {
-		t.Fatalf("WritePages: %v", err)
-	}
-	if err := v.WritePages(9, 1, bytes.Repeat([]byte{0x03}, 64)); err != nil {
-		t.Fatalf("WritePages: %v", err)
-	}
-	if got := v.DirtyPages(); got != 2 {
-		t.Fatalf("DirtyPages = %d, want 2", got)
-	}
-	if err := v.Crash(); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
-	if got := v.DirtyPages(); got != 0 {
-		t.Fatalf("DirtyPages after crash = %d, want 0", got)
-	}
-	got, err := v.Read(3, 1)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !bytes.Equal(got, forced) {
-		t.Error("forced page did not survive crash with its forced image")
-	}
-	got, err = v.Read(9, 1)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !bytes.Equal(got, make([]byte, 64)) {
-		t.Error("unforced page survived crash")
-	}
-}
-
 func TestFileVolumeForceAllExcept(t *testing.T) {
-	v := testFileVolume(t, 64, 16, FileOptions{CrashShadow: true})
+	v := testCrash(t, testFileVolume(t, 64, 16, FileOptions{}))
 	for p := PageNum(0); p < 4; p++ {
 		if err := v.WritePages(p, 1, bytes.Repeat([]byte{byte(p + 1)}, 64)); err != nil {
 			t.Fatalf("WritePages: %v", err)
@@ -276,7 +235,7 @@ func TestFileVolumeForceAllExcept(t *testing.T) {
 }
 
 func TestFileVolumeFaultInjection(t *testing.T) {
-	v := testFileVolume(t, 64, 16, FileOptions{})
+	v := testCrash(t, testFileVolume(t, 64, 16, FileOptions{}))
 	boom := errors.New("boom")
 	v.FailAfter(1, boom)
 	buf := make([]byte, 64)
@@ -296,13 +255,13 @@ func TestFileVolumeFaultInjection(t *testing.T) {
 }
 
 func TestFileVolumeTornWriteRun(t *testing.T) {
-	v := testFileVolume(t, 64, 16, FileOptions{CrashShadow: true})
+	v := testCrash(t, testFileVolume(t, 64, 16, FileOptions{}))
 	boom := errors.New("torn")
 	pages := make([][]byte, 4)
 	for i := range pages {
 		pages[i] = bytes.Repeat([]byte{byte(0x10 + i)}, 64)
 	}
-	v.FailWriteRun(2, boom)
+	v.TearWriteRun(2, boom)
 	if err := v.WriteRun(4, pages); !errors.Is(err, boom) {
 		t.Fatalf("torn fault not injected: %v", err)
 	}
@@ -317,8 +276,8 @@ func TestFileVolumeTornWriteRun(t *testing.T) {
 	if !bytes.Equal(got[128:], make([]byte, 2*64)) {
 		t.Error("pages past the tear were written")
 	}
-	// The shadow covers the whole intended run, so Crash reverts even
-	// the torn prefix — the recovery tests depend on this.
+	// The torn prefix was never forced, so Crash reverts it too — the
+	// recovery tests depend on this.
 	if err := v.Crash(); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
@@ -469,11 +428,15 @@ func TestMigrateRoundTrip(t *testing.T) {
 			t.Fatalf("page %d differs after round trip", p)
 		}
 	}
-	// Migration forces: the file copy must survive a crash.
-	if err := fv.Crash(); err != nil {
+	// Migration forces: the copy must survive a crash.
+	dst := testCrash(t, testVolume(t, 128, 40))
+	if err := CopyDevice(dst, fv); err != nil {
+		t.Fatalf("CopyDevice: %v", err)
+	}
+	if err := dst.Crash(); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
-	got, err := fv.Read(3, 1)
+	got, err := dst.Read(3, 1)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -495,22 +458,23 @@ func TestMigrateGeometryMismatch(t *testing.T) {
 }
 
 func TestFileVolumeCrashPreservesHeaderAndSize(t *testing.T) {
-	// Crash() reverts unforced data pages from the shadow map — which
-	// must never contain the header/geometry block (file offset 0; data
+	// Crash() rewrites unforced data pages through the Device — which
+	// must never reach the header/geometry block (file offset 0; data
 	// page p lives at offset (p+1)*pageSize), and must never shrink or
 	// grow the presized file.  A reopen after an unclean run depends on
 	// both.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "vol.eos")
 	const ps, np = 512, 64
-	v, err := CreateFileVolume(path, ps, np, FileOptions{CrashShadow: true})
+	fv, err := CreateFileVolume(path, ps, np, FileOptions{})
 	if err != nil {
 		t.Fatalf("CreateFileVolume: %v", err)
 	}
+	v := testCrash(t, fv)
 	wantSize := int64(np+1) * ps
 
 	buf := bytes.Repeat([]byte{0xAB}, ps)
-	if err := v.WritePages(0, 1, buf); err != nil { // data page 0: first touch, shadowed
+	if err := v.WritePages(0, 1, buf); err != nil { // data page 0, next to the header
 		t.Fatal(err)
 	}
 	if err := v.Force(0, 1); err != nil {

@@ -15,18 +15,21 @@ import (
 
 // env bundles a fresh storage stack for one test.
 type env struct {
-	vol  *disk.Volume
+	vol  *disk.CrashDevice
 	pool *buffer.Pool
 	bm   *buddy.Manager
 	m    *Manager
 }
 
 // newEnv builds a volume of numSpaces buddy spaces with the given
-// capacity each.
+// capacity each, wrapped for fault injection.
 func newEnv(t testing.TB, pageSize, numSpaces, capacity int, cfg Config) *env {
 	t.Helper()
 	pages := disk.PageNum(1 + numSpaces*(capacity+1))
-	vol := disk.MustNewVolume(pageSize, pages, disk.DefaultCostModel())
+	vol, err := disk.NewCrashDevice(disk.MustNewVolume(pageSize, pages, disk.DefaultCostModel()))
+	if err != nil {
+		t.Fatalf("NewCrashDevice: %v", err)
+	}
 	pool := buffer.MustNewPool(vol, 64)
 	bm, err := buddy.FormatVolume(pool, vol, 1, numSpaces, capacity, true)
 	if err != nil {

@@ -346,9 +346,12 @@ const (
 	descHeaderSize = 40
 )
 
+// DescriptorLen reports the length of EncodeDescriptor's result.
+func (o *Object) DescriptorLen() int { return descHeaderSize + len(o.root.entries)*entrySize }
+
 // EncodeDescriptor serializes an object's root and growth state.
 func (o *Object) EncodeDescriptor() []byte {
-	buf := make([]byte, descHeaderSize+len(o.root.entries)*entrySize)
+	buf := make([]byte, o.DescriptorLen())
 	binary.BigEndian.PutUint32(buf[0:], descMagic)
 	buf[4] = 1 // version
 	buf[5] = uint8(o.root.level)

@@ -64,7 +64,7 @@ func tornTailCorpus() []tornCase {
 // buildTornLog appends a prefix of records plus one victim record,
 // forces everything, and returns the volume along with the victim's
 // byte offset/size and the first record's offset/size.
-func buildTornLog(t *testing.T, victim *Record) (vol *disk.Volume, prefixLSNs []uint64, lastOff, lastSize, firstOff, firstSize int) {
+func buildTornLog(t *testing.T, victim *Record) (vol *disk.CrashDevice, prefixLSNs []uint64, lastOff, lastSize, firstOff, firstSize int) {
 	t.Helper()
 	l, v := newLog(t, 64)
 	prefix := []*Record{

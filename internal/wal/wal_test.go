@@ -8,9 +8,12 @@ import (
 	"github.com/eosdb/eos/internal/disk"
 )
 
-func newLog(t testing.TB, pages disk.PageNum) (*Log, *disk.Volume) {
+func newLog(t testing.TB, pages disk.PageNum) (*Log, *disk.CrashDevice) {
 	t.Helper()
-	vol := disk.MustNewVolume(256, pages, disk.CostModel{})
+	vol, err := disk.NewCrashDevice(disk.MustNewVolume(256, pages, disk.CostModel{}))
+	if err != nil {
+		t.Fatalf("NewCrashDevice: %v", err)
+	}
 	return New(vol, 0), vol
 }
 

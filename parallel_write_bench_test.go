@@ -2,10 +2,10 @@ package eos_test
 
 // Parallel write-path benchmarks.  Two store configurations are compared:
 //
-//   - serialized: SerialWAL (one positional log write per append, every
-//     commit forces the log itself), single pool shard, volume queue
-//     depth 1 — the original write path, in which every committer paid
-//     its own seek+force.
+//   - serialized: DisableGroupCommit (one positional log write per
+//     append, every commit forces the log itself), single pool shard,
+//     volume queue depth 1 — the original write path, in which every
+//     committer paid its own seek+force.
 //   - group: buffered log tail + leader/follower group commit, sharded
 //     pool with parallel coalescing write-back, queue depth 16.
 //
@@ -55,7 +55,8 @@ var wparStoresMu sync.Mutex
 // wparStoreFor builds (once per configuration) a store with wparObjects
 // small objects; committers each Replace inside their own object, so
 // transactions conflict only on the shared write path, not on locks.
-func wparStoreFor(b *testing.B, name string, opts eos.Options) *wparStore {
+// serial switches the store's log to the serial write path.
+func wparStoreFor(b *testing.B, name string, opts eos.Options, serial bool) *wparStore {
 	b.Helper()
 	wparStoresMu.Lock()
 	defer wparStoresMu.Unlock()
@@ -67,6 +68,11 @@ func wparStoreFor(b *testing.B, name string, opts eos.Options) *wparStore {
 	s, err := eos.Format(vol, logVol, opts)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if serial {
+		if err := eos.DisableGroupCommit(s); err != nil {
+			b.Fatal(err)
+		}
 	}
 	data := make([]byte, wparObjSize)
 	for i := 0; i < wparObjects; i++ {
@@ -89,7 +95,7 @@ func wparStoreFor(b *testing.B, name string, opts eos.Options) *wparStore {
 	return st
 }
 
-var serialWriteOpts = eos.Options{Threshold: 8, PoolShards: 1, SerialWAL: true}
+var serialWriteOpts = eos.Options{Threshold: 8, PoolShards: 1}
 var groupWriteOpts = eos.Options{Threshold: 8, PoolShards: 8}
 
 // benchCommit measures committed-transactions-per-second: every
@@ -131,7 +137,7 @@ func benchCommit(b *testing.B, st *wparStore) {
 
 func BenchmarkParallelCommitLat(b *testing.B) {
 	b.Run("serialized", func(b *testing.B) {
-		st := wparStoreFor(b, "serialized", serialWriteOpts)
+		st := wparStoreFor(b, "serialized", serialWriteOpts, true)
 		st.vol.SetLatency(true, 1)
 		st.logVol.SetLatency(true, 1)
 		defer st.vol.SetLatency(false, 0)
@@ -139,7 +145,7 @@ func BenchmarkParallelCommitLat(b *testing.B) {
 		benchCommit(b, st)
 	})
 	b.Run("group", func(b *testing.B) {
-		st := wparStoreFor(b, "group", groupWriteOpts)
+		st := wparStoreFor(b, "group", groupWriteOpts, false)
 		st.vol.SetLatency(true, 16)
 		st.logVol.SetLatency(true, 16)
 		defer st.vol.SetLatency(false, 0)
@@ -150,9 +156,9 @@ func BenchmarkParallelCommitLat(b *testing.B) {
 
 func BenchmarkParallelCommitMem(b *testing.B) {
 	b.Run("serialized", func(b *testing.B) {
-		benchCommit(b, wparStoreFor(b, "serialized", serialWriteOpts))
+		benchCommit(b, wparStoreFor(b, "serialized", serialWriteOpts, true))
 	})
 	b.Run("group", func(b *testing.B) {
-		benchCommit(b, wparStoreFor(b, "group", groupWriteOpts))
+		benchCommit(b, wparStoreFor(b, "group", groupWriteOpts, false))
 	})
 }

@@ -163,8 +163,8 @@ func TestRangeLockConcurrentThroughput(t *testing.T) {
 
 func TestRangeLockLoserReplaceStillUndone(t *testing.T) {
 	// The physical-undo path works under range locking too.
-	vol := disk.MustNewVolume(512, 4096, disk.DefaultCostModel())
-	logVol := disk.MustNewVolume(512, 1024, disk.DefaultCostModel())
+	vol := crashDevice(t, disk.MustNewVolume(512, 4096, disk.DefaultCostModel()))
+	logVol := crashDevice(t, disk.MustNewVolume(512, 1024, disk.DefaultCostModel()))
 	s, err := Format(vol, logVol, Options{RangeLocking: true})
 	if err != nil {
 		t.Fatal(err)

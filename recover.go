@@ -52,11 +52,6 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	if s.opts.SerialWAL {
-		if err := log.SetGroupCommit(false); err != nil {
-			return err
-		}
-	}
 	s.log = log
 
 	committed := make(map[uint64]bool)
@@ -170,7 +165,12 @@ func (s *Store) redo(r *wal.Record) error {
 		}
 		s.mu.Lock()
 		e = &catEntry{id: r.Object, name: string(r.Data), obj: s.lm.NewObject(int(r.N))}
-		s.catalog[e.name] = e
+		// The durable catalog may already hold a later incarnation of
+		// this name: then this object is destroyed further on in the
+		// log, and the name keeps pointing at the survivor.
+		if _, taken := s.catalog[e.name]; !taken {
+			s.catalog[e.name] = e
+		}
 		s.byID[e.id] = e
 		if r.Object >= s.nextID {
 			s.nextID = r.Object + 1
@@ -187,7 +187,9 @@ func (s *Store) redo(r *wal.Record) error {
 			return err
 		}
 		s.mu.Lock()
-		delete(s.catalog, e.name)
+		if s.catalog[e.name] == e {
+			delete(s.catalog, e.name)
+		}
 		delete(s.byID, e.id)
 		s.mu.Unlock()
 		return nil

@@ -475,8 +475,8 @@ func TestSnapshotScanStress(t *testing.T) {
 // TestSnapshotRecoveryPublishes checks that crash recovery republishes
 // every object's root, so snapshots open cleanly on a recovered store.
 func TestSnapshotRecoveryPublishes(t *testing.T) {
-	vol := disk.MustNewVolume(512, 8192, disk.DefaultCostModel())
-	logVol := disk.MustNewVolume(512, 8192, disk.DefaultCostModel())
+	vol := crashDevice(t, disk.MustNewVolume(512, 8192, disk.DefaultCostModel()))
+	logVol := crashDevice(t, disk.MustNewVolume(512, 8192, disk.DefaultCostModel()))
 	s, err := Format(vol, logVol, Options{Threshold: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -540,14 +540,13 @@ func TestSnapshotRecoveryPublishes(t *testing.T) {
 // allocations can never land on its pages.
 func TestSnapshotHeldAcrossFileCrashRecover(t *testing.T) {
 	dir := t.TempDir()
-	mkVol := func(name string, pages disk.PageNum) *disk.FileVolume {
-		fv, err := disk.CreateFileVolume(filepath.Join(dir, name), 512, pages,
-			disk.FileOptions{CrashShadow: true})
+	mkVol := func(name string, pages disk.PageNum) *disk.CrashDevice {
+		fv, err := disk.CreateFileVolume(filepath.Join(dir, name), 512, pages, disk.FileOptions{})
 		if err != nil {
 			t.Fatalf("CreateFileVolume: %v", err)
 		}
 		t.Cleanup(func() { _ = fv.Close() })
-		return fv
+		return crashDevice(t, fv)
 	}
 	vol, logVol := mkVol("data.eos", 4096), mkVol("log.eos", 1024)
 	opts := Options{Threshold: 4}

@@ -38,8 +38,8 @@ func TestSoakCrashRecovery(t *testing.T) {
 }
 
 func soakRun(t *testing.T, seed int64, opts Options) {
-	vol := disk.MustNewVolume(512, 8192, disk.DefaultCostModel())
-	logVol := disk.MustNewVolume(512, 8192, disk.DefaultCostModel())
+	vol := crashDevice(t, disk.MustNewVolume(512, 8192, disk.DefaultCostModel()))
+	logVol := crashDevice(t, disk.MustNewVolume(512, 8192, disk.DefaultCostModel()))
 	s, err := Format(vol, logVol, opts)
 	if err != nil {
 		t.Fatal(err)

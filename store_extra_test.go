@@ -403,3 +403,68 @@ func TestStoreClose(t *testing.T) {
 		t.Errorf("size after close+reopen = %d", o2.Size())
 	}
 }
+
+// TestRecoveryNameReusedAfterDestroy crashes with a log that creates,
+// destroys and re-creates one name while the durable catalog already
+// holds the second incarnation.  Redo of the first create must not take
+// the name from the survivor, or the destroy that follows it drops the
+// survivor from the catalog.
+func TestRecoveryNameReusedAfterDestroy(t *testing.T) {
+	s, vol, logVol := newStore(t, Options{})
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(ops func(tx *Txn) error) {
+		t.Helper()
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ops(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	create := func(data []byte) func(tx *Txn) error {
+		return func(tx *Txn) error {
+			if err := tx.Create("o", 0); err != nil {
+				return err
+			}
+			return tx.Append("o", data)
+		}
+	}
+	commit(create(pat(1, 700)))
+	commit(func(tx *Txn) error { return tx.Destroy("o") })
+	want := pat(2, 900)
+	commit(create(want))
+
+	if err := vol.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := logVol.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(vol, logVol, Options{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	o, err := re.Open("o")
+	if err != nil {
+		t.Fatalf("re-created object lost in recovery: %v", err)
+	}
+	got, err := o.Read(0, o.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("recovered %d bytes, want the second incarnation's %d", len(got), len(want))
+	}
+	if err := re.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -27,25 +27,37 @@ func testBackend(t testing.TB) string {
 	}
 }
 
-// newTestDevice builds one volume on the selected backend.  File
-// volumes enable crash shadowing so Crash() keeps the simulator's
-// "unforced writes are lost" semantics the recovery tests drive.
-func newTestDevice(t testing.TB, pageSize int, pages disk.PageNum) disk.Device {
+// newTestDevice builds one volume on the selected backend, wrapped in a
+// CrashDevice so the recovery tests can crash it and inject faults.
+func newTestDevice(t testing.TB, pageSize int, pages disk.PageNum) *disk.CrashDevice {
 	t.Helper()
+	var inner disk.Device
 	if testBackend(t) == "sim" {
-		return disk.MustNewVolume(pageSize, pages, disk.DefaultCostModel())
+		inner = disk.MustNewVolume(pageSize, pages, disk.DefaultCostModel())
+	} else {
+		path := filepath.Join(t.TempDir(), "vol.eos")
+		fv, err := disk.CreateFileVolume(path, pageSize, pages, disk.FileOptions{})
+		if err != nil {
+			t.Fatalf("CreateFileVolume: %v", err)
+		}
+		t.Cleanup(func() { _ = fv.Close() })
+		inner = fv
 	}
-	path := filepath.Join(t.TempDir(), "vol.eos")
-	fv, err := disk.CreateFileVolume(path, pageSize, pages, disk.FileOptions{CrashShadow: true})
+	return crashDevice(t, inner)
+}
+
+// crashDevice wraps inner in a CrashDevice.
+func crashDevice(t testing.TB, inner disk.Device) *disk.CrashDevice {
+	t.Helper()
+	d, err := disk.NewCrashDevice(inner)
 	if err != nil {
-		t.Fatalf("CreateFileVolume: %v", err)
+		t.Fatalf("NewCrashDevice: %v", err)
 	}
-	t.Cleanup(func() { _ = fv.Close() })
-	return fv
+	return d
 }
 
 // newStore creates a store on fresh volumes of the selected backend.
-func newStore(t testing.TB, opts Options) (*Store, disk.Device, disk.Device) {
+func newStore(t testing.TB, opts Options) (*Store, *disk.CrashDevice, *disk.CrashDevice) {
 	t.Helper()
 	vol := newTestDevice(t, 512, 4096)
 	logVol := newTestDevice(t, 512, 1024)

@@ -510,6 +510,10 @@ func (t *Txn) Size(name string) (int64, error) {
 // Commit makes the transaction durable: the commit record is forced to
 // the log, the deferred frees are applied, dirty pages are flushed and
 // forced, and the catalog is updated with the new descriptors.
+//
+// If the catalog slot cannot hold the transaction's new descriptors,
+// both commit paths return ErrCatalogFull before logging anything; the
+// transaction stays live, to be aborted (or to free room and retry).
 func (t *Txn) Commit() error { return t.commit(true) }
 
 // CommitNoForce is the fast commit path: the commit record is appended
@@ -526,12 +530,20 @@ func (t *Txn) commit(force bool) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	t.done = true
 	// A transaction that performed no mutating operation has nothing to
 	// make durable: its commit record can stay in the log buffer (the
 	// next leader force or checkpoint carries it), and there is no data
 	// page or catalog state of its own to force.
 	readOnly := len(t.journal) == 0
+	if !readOnly {
+		t.s.mu.Lock()
+		err := t.s.reserveCatalog(t)
+		t.s.mu.Unlock()
+		if err != nil {
+			return err // nothing logged: the transaction stays live
+		}
+	}
+	t.done = true
 	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit}
 	if _, err := t.s.log.Append(rec); err != nil {
 		return err
@@ -548,6 +560,7 @@ func (t *Txn) commit(force bool) error {
 	for _, to := range t.touched {
 		if to.entry.txnDirty == t.id {
 			to.entry.txnDirty = 0
+			to.entry.reserved = 0
 			to.entry.obj.Rebind(t.s.lm)
 			// Refresh the fallback descriptor NOW: a catalog barrier
 			// that runs while the next transaction holds this object
@@ -719,6 +732,7 @@ func (t *Txn) Abort() error {
 	for _, to := range t.touched {
 		if to.entry.txnDirty == t.id {
 			to.entry.txnDirty = 0
+			to.entry.reserved = 0
 			to.entry.obj.Rebind(t.s.lm)
 		}
 		to.entry.obj.SetLSN(to.prevLSN)
