@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint eoslint lint-ssa lint-fixtures bench
+.PHONY: build test race lint eoslint lint-fixtures bench
 
 build:
 	$(GO) build ./...
@@ -11,8 +11,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full static analysis: eoslint (per-package and -ssa whole-program
-# suites), a go vet self-check over the linter's own packages, plus
+# Full static analysis: eoslint (including its whole-program passes),
+# a go vet self-check over the linter's own packages, plus
 # golangci-lint and govulncheck when installed (scripts/lint.sh skips
 # missing external tools).
 lint:
@@ -21,11 +21,6 @@ lint:
 # Just the repo's own invariant analyzers.
 eoslint:
 	scripts/lint.sh eoslint
-
-# Just the whole-program passes (deadlock, walfirstip, leaksip,
-# forcedom, racecheck).
-lint-ssa:
-	scripts/lint.sh --ssa
 
 # Smoke-check that every bad fixture still trips its analyzer.
 lint-fixtures:

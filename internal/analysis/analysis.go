@@ -1,14 +1,15 @@
 // Package analysis collects the eoslint analyzer suite: the custom
 // go/analysis checkers that machine-enforce the storage engine's
-// concurrency and recovery invariants (acquire/release pairing, latch
-// order, guarded-field locking, pin lifetimes, atomics discipline,
-// the §4.5 write-ahead rule, and error wrapping), their whole-program
-// extensions built on the internal ssa facility (deadlock, walfirstip,
-// leaksip, forcedom, racecheck — interprocedural latch-lattice
-// verification, cross-function write-ahead dominance, context-sensitive
-// resource-leak propagation, §8.1 force-ordering dominance, and the
-// Eraser lockset rule), plus the audit that keeps the //eoslint:ignore
-// exception inventory honest.
+// concurrency and recovery invariants — acquire/release pairing
+// (pairs), latch order and deadlock freedom (lockorder), the §4.5
+// write-ahead rule (walfirst), §8.1 force-ordering dominance
+// (forcedom), the Eraser lockset rule (racecheck), guarded-field
+// locking, pin lifetimes, atomics discipline, and error wrapping — plus
+// the audit that keeps the //eoslint:ignore exception inventory honest.
+// Each invariant has one implementation: the interprocedural passes
+// run over the internal ssa facility, with per-function summaries
+// propagated across packages as analysis facts, and a check within one
+// function is the case where every callee summary is empty.
 //
 // The suite runs under `go vet` via cmd/eoslint and in CI via
 // scripts/lint.sh; see the "Static analysis" section of README.md and
@@ -19,18 +20,15 @@ import (
 	goanalysis "golang.org/x/tools/go/analysis"
 
 	"github.com/eosdb/eos/internal/analysis/atomicfield"
-	"github.com/eosdb/eos/internal/analysis/deadlock"
 	"github.com/eosdb/eos/internal/analysis/errwrap"
 	"github.com/eosdb/eos/internal/analysis/forcedom"
 	"github.com/eosdb/eos/internal/analysis/guardedby"
-	"github.com/eosdb/eos/internal/analysis/leaksip"
 	"github.com/eosdb/eos/internal/analysis/lockorder"
 	"github.com/eosdb/eos/internal/analysis/pairs"
 	"github.com/eosdb/eos/internal/analysis/racecheck"
 	"github.com/eosdb/eos/internal/analysis/unusedignore"
 	"github.com/eosdb/eos/internal/analysis/useafterunpin"
 	"github.com/eosdb/eos/internal/analysis/walfirst"
-	"github.com/eosdb/eos/internal/analysis/walfirstip"
 )
 
 // Analyzers returns the eoslint suite.  unusedignore must come after
@@ -45,9 +43,6 @@ func Analyzers() []*goanalysis.Analyzer {
 		errwrap.Analyzer,
 		useafterunpin.Analyzer,
 		guardedby.Analyzer,
-		deadlock.Analyzer,
-		walfirstip.Analyzer,
-		leaksip.Analyzer,
 		forcedom.Analyzer,
 		racecheck.Analyzer,
 		unusedignore.Analyzer,

@@ -136,6 +136,23 @@ func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool 
 	return fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
 }
 
+// IsPkgNameCall reports whether call invokes a package-level function
+// named one of funcs in the package named pkgName, returning the
+// matched name.  Unlike IsPkgFunc it matches the package by name, so
+// fixture stand-ins for engine packages match too.
+func IsPkgNameCall(info *types.Info, call *ast.CallExpr, pkgName string, funcs ...string) (string, bool) {
+	fn := Callee(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != pkgName || ReceiverType(fn) != nil {
+		return "", false
+	}
+	for _, name := range funcs {
+		if fn.Name() == name {
+			return name, true
+		}
+	}
+	return "", false
+}
+
 // ErrorType is the types.Interface of the built-in error type.
 var ErrorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
@@ -149,4 +166,23 @@ func IsErrorType(t types.Type) bool {
 		return false
 	}
 	return types.Implements(t, ErrorType)
+}
+
+// RecvTypeName returns the receiver type name of decl ("Txn" for
+// `func (t *Txn) ...`), or "" for a plain function.
+func RecvTypeName(decl *ast.FuncDecl) string {
+	if decl.Recv == nil || len(decl.Recv.List) == 0 {
+		return ""
+	}
+	t := decl.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if idx, ok := t.(*ast.IndexExpr); ok {
+		t = idx.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

@@ -45,8 +45,8 @@
 // the orderings checked here and avoids error-path false positives.
 // Within a single function the check is exact dominance.
 //
-// Rule 1 roots are the exported methods of the transaction type
-// (-recv, default "Txn"), where the force-ahead obligation starts;
+// Rule 1 roots are the exported methods of the transaction type Txn,
+// where the force-ahead obligation starts;
 // rules 2–5 root at every exported function.  Unexported helpers are
 // summarized, not reported.  Where a report fires, the dominator tree
 // supplies evidence: if a discharging instruction exists but fails to
@@ -86,13 +86,6 @@ var Analyzer = &analysis.Analyzer{
 	FactTypes: []analysis.Fact{new(ForceFact)},
 }
 
-var recvFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&recvFlag, "recv", "Txn",
-		"comma-separated receiver type names whose methods must force before overwriting")
-}
-
 // Discharge indices: the three event classes that satisfy an ordering
 // obligation.
 const (
@@ -112,7 +105,7 @@ const (
 )
 
 // domRules declares the four dominance contracts.  txnOnly restricts
-// roots to the -recv transaction methods; the others root at every
+// roots to the Txn methods; the others root at every
 // exported function.
 var domRules = [nDomRules]struct {
 	discharge int
@@ -203,17 +196,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 
-	recvs := make(map[string]bool)
-	for _, r := range strings.Split(recvFlag, ",") {
-		if r = strings.TrimSpace(r); r != "" {
-			recvs[r] = true
-		}
-	}
 	for _, f := range pr.Funcs {
 		if !f.Obj.Exported() || c.inTestFile(f) {
 			continue
 		}
-		c.checkRoot(f, recvs[recvTypeName(f.Decl)])
+		c.checkRoot(f, eosutil.RecvTypeName(f.Decl) == "Txn")
 	}
 	return nil, nil
 }
@@ -709,23 +696,4 @@ func (c *checker) evidence(f *ssa.Func, fd finding) []analysis.RelatedInformatio
 		}
 	}
 	return nil
-}
-
-// recvTypeName returns the receiver type name of decl ("" for
-// functions).
-func recvTypeName(decl *ast.FuncDecl) string {
-	if decl.Recv == nil || len(decl.Recv.List) == 0 {
-		return ""
-	}
-	t := decl.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if idx, ok := t.(*ast.IndexExpr); ok {
-		t = idx.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }

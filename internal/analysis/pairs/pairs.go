@@ -1,11 +1,10 @@
 // Package pairs defines an Analyzer that enforces the engine's
 // acquire/release disciplines through one table-driven pairing engine.
-// It generalizes the original pinpair checker: every resource class is
-// a Spec naming its acquire calls, its release calls, how the resource
-// token is identified at each site, and which paths must release.
+// Every resource class is a spec naming its acquire calls, its release
+// calls, how the resource token is identified at each site, and which
+// paths must release.
 //
-// The default table covers the six disciplines the storage engine
-// depends on:
+// The table covers the six disciplines the storage engine depends on:
 //
 //	pin      buffer.Pool.Fix/FixNew        → Unpin/Discard   (all paths)
 //	latch    ranked mutex Lock/RLock       → Unlock/RUnlock  (all paths)
@@ -21,35 +20,38 @@
 // allocated on a failed operation path leak from the buddy space
 // unless freed before the error return.  A file volume opened on a
 // failed setup path leaks its descriptor and keeps the page file
-// pinned.  The epoch spec stops
-// tracking a guard at its first other use (stored into a snapshot
-// structure, handed to a callee) — ownership transferred, and the new
-// owner's Close path carries the Exit.  The alloc spec checks only error-returning exits — on
-// success the pages' ownership transfers to the object tree — and
-// stops tracking a token at its first other use (ownership handed to
-// a callee or stored into a structure).
+// pinned.  The epoch, alloc and filevol specs stop tracking a token at
+// its first statement-level use other than the release (stored into a
+// structure, handed to a callee): ownership transferred, and the new
+// owner carries the release.  The alloc and filevol specs check only
+// error-returning exits — on success ownership transfers to the
+// caller's data structures.
 //
-// Pairing is checked along the control-flow graph from each acquire
-// site, exactly as pinpair did: a diagnostic means some path reaches a
-// function exit holding the resource.  The error-check branch guarding
-// a fallible acquire is exempt (a failed acquire acquires nothing),
-// and a deferred release covers every exit.
+// Function summaries are computed bottom-up over the ssa call graph and
+// exported as ResFact object facts for callers in other packages:
+// Releases (parameters whose resource the function releases, to a
+// fixed point), Acquires (parameters whose resource it acquires and
+// leaves held), and Returns (its first result carries a freshly
+// acquired resource).  Every acquire site is then checked with one
+// path engine (ssa.Func.Walk): a literal acquire call (Fix, Lock,
+// Begin, Enter, Alloc, OpenFileVolume), and a call to a function whose
+// summary acquires or returns a resource.  A diagnostic means some path
+// reaches a function exit holding the resource.  A call releases when
+// it is a release call on the same token or its callee's Releases
+// summary covers the argument; returning the token hands it to the
+// caller.  The error-check branch guarding a fallible acquire is exempt
+// (a failed acquire acquires nothing), and a deferred release covers
+// every exit.
 //
-// The check extends across unexported helpers through analysis facts:
-// a function that releases a resource received as a parameter (or
-// receiver) exports a ReleasesFact, and a call to it counts as a
-// release of the corresponding argument at every call site, including
-// call sites in other packages.  A helper that releases only on some
-// of its own paths is still treated as a releaser at call sites; the
-// helper's own body is where the partial release is visible.
+// Context sensitivity is by propagation: an acquire whose token is
+// rooted at a parameter that the function never releases is the
+// function's Acquires entry, and when something in the package calls
+// the function, each call site is checked against its own exits
+// instead.  A function nobody calls is checked where it acquires.
 //
-// The -extra flag appends simple specs of the pin shape
-// ("name=pkg.Type.Acq1|Acq2->pkg.Type.Rel1|Rel2", semicolon-
-// separated, first-argument-keyed, error-guarded) so new paired APIs
-// can be enforced without recompiling the analyzer.
-//
-// Test files are exempt: tests hold pins, latches, and transactions
-// across assertions deliberately.
+// Each function literal is checked as a function of its own with no
+// obligations on entry.  Test files are exempt: tests hold pins,
+// latches, and transactions across assertions deliberately.
 package pairs
 
 import (
@@ -60,9 +62,6 @@ import (
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"golang.org/x/tools/go/cfg"
 
 	"github.com/eosdb/eos/internal/analysis/eosutil"
@@ -72,36 +71,31 @@ import (
 
 const doc = `check that paired acquire/release calls balance on every path
 
-Each resource class (buffer pins, ranked latches, transactions, buddy
-allocations) pairs an acquire call with a release call.  A path from an
-acquire to a function exit that misses the release leaks the resource:
-frames stay unevictable, latches deadlock their next acquirer,
-transactions hold their locks forever, allocations leak pages.  The
-table is extensible with -extra; helpers that release a parameter are
-recognized across function and package boundaries via analysis facts.`
+Each resource class (buffer pins, ranked latches, transactions, epoch
+guards, buddy allocations, file volumes) pairs an acquire call with a
+release call.  A path from an acquire to a function exit that misses
+the release leaks the resource: frames stay unevictable, latches
+deadlock their next acquirer, transactions hold their locks forever,
+allocations leak pages.  Helpers that acquire, release or return a
+resource are summarized bottom-up over the call graph and across
+packages via analysis facts, so a call to one is checked like the
+acquire or release it wraps.`
 
 // Analyzer is the pairs analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:      "pairs",
 	Doc:       doc,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer, ignore.Analyzer},
+	Requires:  []*analysis.Analyzer{ssa.Analyzer, ignore.Analyzer},
 	Run:       run,
-	FactTypes: []analysis.Fact{new(ReleasesFact)},
+	FactTypes: []analysis.Fact{new(ResFact)},
 }
 
-// KeyFrom says where a site's resource token is read.
-type KeyFrom int
-
+// Token sources: a spec reads the resource token from a call operand —
+// the receiver (keyRecv) or an argument index (0 for the first) — or
+// from the variable the first result is assigned to (keyResult).
 const (
-	// KeyArg0 keys the resource by the call's first argument (the page
-	// of Fix(pg) and Unpin(pg)).
-	KeyArg0 KeyFrom = iota
-	// KeyRecv keys the resource by the method receiver (the t of
-	// t.Commit()).
-	KeyRecv
-	// KeyResult0 keys the resource by the variable the call's first
-	// result is assigned to (the t of t, err := s.Begin()).
-	KeyResult0
+	keyRecv   = -1
+	keyResult = -2
 )
 
 // matcher selects method calls by package name, receiver type name
@@ -113,529 +107,546 @@ type matcher struct {
 	methods  []string
 }
 
-// Spec describes one acquire/release discipline.
-type Spec struct {
-	// Name labels the resource in diagnostics, facts, and -extra
-	// entries ("pin", "latch", "txn", "alloc").
-	Name string
-
-	// Acquire and Release match the paired calls.  Unused for the
-	// mutex kind.
-	Acquire, Release []matcher
-	// AcquireKey and ReleaseKey locate the resource token at each site.
-	AcquireKey, ReleaseKey KeyFrom
-
-	// ErrGuarded marks acquires whose last result is an error: the
+// spec describes one acquire/release discipline.
+type spec struct {
+	name             string // labels the resource in diagnostics and facts
+	acquire, release []matcher
+	// acquireKey and releaseKey locate the resource token at each site.
+	acquireKey, releaseKey int
+	// mutex switches the spec to the ranked-latch kind: acquire is
+	// Lock/RLock and release Unlock/RUnlock on any ssa.LockRanks field.
+	mutex bool
+	// errGuarded marks acquires whose last result is an error: the
 	// branch testing that error right after the call acquired nothing.
-	ErrGuarded bool
-	// ErrorPathsOnly restricts leak reports to error-returning exits:
-	// on success the resource's ownership transfers to the caller's
-	// data structures.
-	ErrorPathsOnly bool
-	// TransferOnUse stops tracking a token at its first statement-level
-	// use other than the release call (stored, passed to a callee,
-	// returned): the resource was handed off.  Reads inside branch
-	// conditions do not transfer.
-	TransferOnUse bool
-
-	// MutexFields switches the spec to the mutex kind: acquire is
-	// Lock/RLock and release Unlock/RUnlock on any "Type.field" listed.
-	MutexFields map[string]bool
-
-	// Hint is appended to diagnostics.
-	Hint string
+	errGuarded bool
+	// errorPathsOnly restricts leak reports to error-returning exits.
+	errorPathsOnly bool
+	// transferOnUse stops tracking a token at its first statement-level
+	// use other than the release call.  Reads inside branch conditions
+	// do not transfer.
+	transferOnUse bool
+	hint          string // appended to diagnostics
 }
 
-// rankedMutexes is the lockorder lattice's key set: the engine mutexes
-// whose Lock must pair with an Unlock on every path.  Derived from the
-// canonical table in the ssa facility so the pairing, ordering, and
-// whole-program deadlock checks share one lattice.
-var rankedMutexes = func() map[string]bool {
-	m := make(map[string]bool)
-	for k := range ssa.LockRanks() {
-		m[k] = true
-	}
-	return m
-}()
-
-// DefaultSpecs returns the engine's pairing table.  The leaksip
-// analyzer shares it so the whole-program extension can never disagree
-// with this analyzer about what pairs with what.
-func DefaultSpecs() []*Spec {
-	return defaultSpecs()
+// specs is the engine's pairing table.
+var specs = []*spec{
+	{
+		name:       "pin",
+		acquire:    []matcher{{"buffer", "Pool", []string{"Fix", "FixNew"}}},
+		release:    []matcher{{"buffer", "Pool", []string{"Unpin", "Discard"}}},
+		errGuarded: true,
+		hint:       "add defer Unpin after the error check",
+	},
+	{
+		name:  "latch",
+		mutex: true,
+		hint:  "unlock on every path, or defer the unlock",
+	},
+	{
+		name:       "txn",
+		acquire:    []matcher{{"eos", "Store", []string{"Begin"}}},
+		release:    []matcher{{"eos", "Txn", []string{"Commit", "CommitNoForce", "Abort"}}},
+		acquireKey: keyResult,
+		releaseKey: keyRecv,
+		errGuarded: true,
+		hint:       "commit or abort on every path; an unfinished transaction holds its locks forever",
+	},
+	{
+		name:          "epoch",
+		acquire:       []matcher{{"txn", "EpochManager", []string{"Enter"}}},
+		release:       []matcher{{"txn", "EpochGuard", []string{"Exit"}}},
+		acquireKey:    keyResult,
+		releaseKey:    keyRecv,
+		transferOnUse: true,
+		hint:          "Exit the guard on every path (or hand it off); a leaked pin blocks epoch reclamation forever",
+	},
+	{
+		name: "alloc",
+		acquire: []matcher{
+			{"buddy", "Manager", []string{"Alloc", "AllocUpTo"}},
+			{"lob", "Allocator", []string{"Alloc", "AllocUpTo"}},
+		},
+		release: []matcher{
+			{"buddy", "Manager", []string{"Free"}},
+			{"lob", "Allocator", []string{"Free"}},
+		},
+		acquireKey:     keyResult,
+		errGuarded:     true,
+		errorPathsOnly: true,
+		transferOnUse:  true,
+		hint:           "free the pages (or hand them off) before returning the error",
+	},
+	{
+		name:           "filevol",
+		acquire:        []matcher{{"disk", "", []string{"CreateFileVolume", "OpenFileVolume"}}},
+		release:        []matcher{{"disk", "FileVolume", []string{"Close"}}},
+		acquireKey:     keyResult,
+		releaseKey:     keyRecv,
+		errGuarded:     true,
+		errorPathsOnly: true,
+		transferOnUse:  true,
+		hint:           "close the volume (or hand it off) before returning the error; a leaked descriptor pins the page file",
+	},
 }
 
-// defaultSpecs returns the engine's pairing table.
-func defaultSpecs() []*Spec {
-	return []*Spec{
-		{
-			Name:       "pin",
-			Acquire:    []matcher{{"buffer", "Pool", []string{"Fix", "FixNew"}}},
-			Release:    []matcher{{"buffer", "Pool", []string{"Unpin", "Discard"}}},
-			AcquireKey: KeyArg0,
-			ReleaseKey: KeyArg0,
-			ErrGuarded: true,
-			Hint:       "add defer Unpin after the error check",
-		},
-		{
-			Name:        "latch",
-			MutexFields: rankedMutexes,
-			Hint:        "unlock on every path, or defer the unlock",
-		},
-		{
-			Name:       "txn",
-			Acquire:    []matcher{{"eos", "Store", []string{"Begin"}}},
-			Release:    []matcher{{"eos", "Txn", []string{"Commit", "CommitNoForce", "Abort"}}},
-			AcquireKey: KeyResult0,
-			ReleaseKey: KeyRecv,
-			ErrGuarded: true,
-			Hint:       "commit or abort on every path; an unfinished transaction holds its locks forever",
-		},
-		{
-			Name:          "epoch",
-			Acquire:       []matcher{{"txn", "EpochManager", []string{"Enter"}}},
-			Release:       []matcher{{"txn", "EpochGuard", []string{"Exit"}}},
-			AcquireKey:    KeyResult0,
-			ReleaseKey:    KeyRecv,
-			TransferOnUse: true,
-			Hint:          "Exit the guard on every path (or hand it off); a leaked pin blocks epoch reclamation forever",
-		},
-		{
-			Name: "alloc",
-			Acquire: []matcher{
-				{"buddy", "Manager", []string{"Alloc", "AllocUpTo"}},
-				{"lob", "Allocator", []string{"Alloc", "AllocUpTo"}},
-			},
-			Release: []matcher{
-				{"buddy", "Manager", []string{"Free"}},
-				{"lob", "Allocator", []string{"Free"}},
-			},
-			AcquireKey:     KeyResult0,
-			ReleaseKey:     KeyArg0,
-			ErrGuarded:     true,
-			ErrorPathsOnly: true,
-			TransferOnUse:  true,
-			Hint:           "free the pages (or hand them off) before returning the error",
-		},
-		{
-			Name: "filevol",
-			Acquire: []matcher{
-				{"disk", "", []string{"CreateFileVolume", "OpenFileVolume"}},
-			},
-			Release:        []matcher{{"disk", "FileVolume", []string{"Close"}}},
-			AcquireKey:     KeyResult0,
-			ReleaseKey:     KeyRecv,
-			ErrGuarded:     true,
-			ErrorPathsOnly: true,
-			TransferOnUse:  true,
-			Hint:           "close the volume (or hand it off) before returning the error; a leaked descriptor pins the page file",
-		},
-	}
-}
-
-var extraFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&extraFlag, "extra", "",
-		`extra specs, semicolon-separated "name=pkg.Type.Acq1|Acq2->pkg.Type.Rel1|Rel2" (arg0-keyed, error-guarded)`)
-}
-
-// parseExtra parses one -extra entry.
-func parseExtra(ent string) (*Spec, error) {
-	bad := func() error { return fmt.Errorf("pairs: bad -extra entry %q", ent) }
-	name, rest, ok := strings.Cut(ent, "=")
-	if !ok || name == "" {
-		return nil, bad()
-	}
-	acq, rel, ok := strings.Cut(rest, "->")
-	if !ok {
-		return nil, bad()
-	}
-	parse := func(s string) (matcher, error) {
-		parts := strings.SplitN(s, ".", 3)
-		if len(parts) != 3 || parts[0] == "" || parts[1] == "" || parts[2] == "" {
-			return matcher{}, bad()
+func specNamed(name string) *spec {
+	for _, sp := range specs {
+		if sp.name == name {
+			return sp
 		}
-		return matcher{pkg: parts[0], typ: parts[1], methods: strings.Split(parts[2], "|")}, nil
 	}
-	am, err := parse(strings.TrimSpace(acq))
-	if err != nil {
-		return nil, err
-	}
-	rm, err := parse(strings.TrimSpace(rel))
-	if err != nil {
-		return nil, err
-	}
-	return &Spec{
-		Name:       name,
-		Acquire:    []matcher{am},
-		Release:    []matcher{rm},
-		AcquireKey: KeyArg0,
-		ReleaseKey: KeyArg0,
-		ErrGuarded: true,
-	}, nil
+	return nil
 }
 
-// ReleasesFact marks a function that releases resources received as
-// parameters: calling it releases the corresponding arguments.
-type ReleasesFact struct {
-	Params []ParamRelease
+// ResFact is the exported per-function resource summary.
+type ResFact struct {
+	// Releases lists parameters whose resource the function releases.
+	Releases []Param
+	// Acquires lists parameters whose resource the function acquires
+	// and leaves held when it returns.
+	Acquires []Param
+	// Returns lists resources the function's first result carries,
+	// freshly acquired.
+	Returns []Result
 }
 
-// ParamRelease is one released parameter: the Spec name, the
-// parameter index (-1 for the receiver), and a token suffix for mutex
-// resources (".mu" when the function unlocks param.mu).
-type ParamRelease struct {
+// Param is one summarized parameter: the spec name, the parameter
+// index (-1 for the receiver), a token suffix for latches (".mu" when
+// the function locks param.mu), and for Acquires the call chain below
+// the function that performs the acquisition.
+type Param struct {
 	Spec   string
 	Param  int
 	Suffix string
+	Chain  []string
 }
 
-// AFact marks ReleasesFact as an analysis fact.
-func (*ReleasesFact) AFact() {}
+// Result marks the function's first result as carrying a freshly
+// acquired resource of Spec, acquired through Chain.
+type Result struct {
+	Spec  string
+	Chain []string
+}
 
-func (f *ReleasesFact) String() string {
+// AFact marks ResFact as an analysis fact.
+func (*ResFact) AFact() {}
+
+func (f *ResFact) String() string {
 	var parts []string
-	for _, p := range f.Params {
-		parts = append(parts, fmt.Sprintf("%s:%d%s", p.Spec, p.Param, p.Suffix))
+	for _, p := range f.Releases {
+		parts = append(parts, fmt.Sprintf("rel:%s:%d%s", p.Spec, p.Param, p.Suffix))
 	}
-	return "releases(" + strings.Join(parts, ",") + ")"
-}
-
-// ReleaseHook recognizes releasing calls beyond the spec's own release
-// matchers.  pairs plugs in its single-hop ReleasesFact lookup; the
-// leaksip analyzer plugs in its transitively propagated summaries.
-// The hook must be self-contained: when non-nil it fully replaces the
-// fact lookup (an analyzer can only read facts of types it declares).
-type ReleaseHook func(call *ast.CallExpr, sp *Spec, token string) bool
-
-// Obligation is an externally derived acquire site: a call that
-// transitively acquires a resource the caller must release.  The
-// leaksip analyzer builds these from its whole-program summaries and
-// checks them with the same path engine this analyzer uses for literal
-// acquire calls.
-type Obligation struct {
-	Spec     *Spec
-	Call     *ast.CallExpr
-	Method   string // acquiring callee, for diagnostics
-	Token    string // expression string identifying the resource
-	TokenObj types.Object
-	ErrVar   types.Object // error variable guarding the acquire, if any
-}
-
-// LeaksOn reports whether some path from ob's call to an exit of g
-// misses the release, consulting hook for call-based releases.
-func LeaksOn(pass *analysis.Pass, g *cfg.CFG, ob *Obligation, hook ReleaseHook) bool {
-	s := &site{
-		spec:     ob.Spec,
-		call:     ob.Call,
-		method:   ob.Method,
-		token:    ob.Token,
-		tokenObj: ob.TokenObj,
-		errVar:   ob.ErrVar,
+	for _, p := range f.Acquires {
+		parts = append(parts, fmt.Sprintf("acq:%s:%d%s", p.Spec, p.Param, p.Suffix))
 	}
-	return leaks(pass, g, s, hook)
+	for _, r := range f.Returns {
+		parts = append(parts, "ret:"+r.Spec)
+	}
+	return "res(" + strings.Join(parts, ",") + ")"
 }
 
-// ReleaseTokenOf reports whether call is one of sp's release calls,
-// and the token it releases.
-func (sp *Spec) ReleaseTokenOf(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	return releaseToken(pass, sp, call)
+func (f *ResFact) empty() bool {
+	return len(f.Releases)+len(f.Acquires)+len(f.Returns) == 0
 }
 
-// AcquireSite reports whether call is one of sp's acquire calls.  The
-// returned token identifies the resource for arg0-, receiver-, and
-// mutex-keyed specs; result-keyed specs return an empty token (the
-// caller resolves it from the enclosing assignment).
-func (sp *Spec) AcquireSite(pass *analysis.Pass, call *ast.CallExpr) (method, token string, ok bool) {
-	if sp.MutexFields != nil {
-		_, m, tok, isLock := mutexEvent(pass, sp, call)
-		if !isLock || (m != "Lock" && m != "RLock") {
-			return "", "", false
+// maxChain bounds recorded acquisition chains.
+const maxChain = 8
+
+func run(pass *analysis.Pass) (interface{}, error) {
+	pr := pass.ResultOf[ssa.Analyzer].(*ssa.Program)
+	c := &checker{
+		pass:   pass,
+		pr:     pr,
+		ig:     ignore.For(pass),
+		sums:   make(map[*ssa.Func]*ResFact),
+		called: make(map[*ssa.Func]bool),
+	}
+	for _, f := range pr.Funcs {
+		c.sums[f] = new(ResFact)
+	}
+	// Releases converge first: the Acquires and Returns summaries ask
+	// whether a body releases what it acquires.
+	c.fixpoint(c.updateReleases)
+	c.fixpoint(c.updateAcquires)
+	for f, sum := range c.sums {
+		if !sum.empty() {
+			pass.ExportObjectFact(f.Obj, sum)
 		}
-		return m, tok, true
 	}
-	m, matched := matchAny(pass, sp.Acquire, call)
-	if !matched {
-		return "", "", false
-	}
-	switch sp.AcquireKey {
-	case KeyArg0:
-		if len(call.Args) < 1 {
-			return "", "", false
+
+	var funcs []*ssa.Func
+	for _, f := range pr.All() {
+		if !strings.HasSuffix(pass.Fset.Position(f.Body.Pos()).Filename, "_test.go") {
+			funcs = append(funcs, f)
 		}
-		return m, types.ExprString(call.Args[0]), true
-	case KeyRecv:
-		sel, isSel := call.Fun.(*ast.SelectorExpr)
-		if !isSel {
-			return "", "", false
-		}
-		return m, types.ExprString(sel.X), true
 	}
-	return m, "", true
+	for _, f := range funcs {
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				for _, callee := range b.Instrs[i].Callees {
+					if g := pr.ByObj[callee]; g != nil && g != f {
+						c.called[g] = true
+					}
+				}
+			}
+		}
+	}
+	for _, f := range funcs {
+		c.checkFunc(f)
+	}
+	return nil, nil
 }
 
-// ReleaseTokenAt resolves the token a releaser-fact entry releases at
-// a concrete call site.
-func ReleaseTokenAt(pass *analysis.Pass, call *ast.CallExpr, pr ParamRelease) (string, bool) {
-	return releaseTokenAt(pass, call, pr)
+type checker struct {
+	pass   *analysis.Pass
+	pr     *ssa.Program
+	ig     *ignore.Reporter
+	sums   map[*ssa.Func]*ResFact
+	called map[*ssa.Func]bool // called from another non-test function of the package
 }
 
-// site is one acquire call under check.
+// fixpoint runs update over each SCC, bottom-up, until nothing
+// changes.  Summary entries only ever accumulate, so it converges.
+func (c *checker) fixpoint(update func(*ssa.Func) bool) {
+	for _, scc := range c.pr.SCCs {
+		for changed := true; changed; {
+			changed = false
+			for _, f := range scc {
+				if update(f) {
+					changed = true
+				}
+			}
+		}
+	}
+}
+
+// factFor returns the summary of a resolved callee: the in-package
+// summary (possibly still converging) or the imported cross-package
+// fact, or nil.
+func (c *checker) factFor(fn *types.Func) *ResFact {
+	if fn == nil {
+		return nil
+	}
+	if f, ok := c.pr.ByObj[fn]; ok {
+		return c.sums[f]
+	}
+	var imported ResFact
+	if c.pass.ImportObjectFact(fn, &imported) {
+		return &imported
+	}
+	return nil
+}
+
+// relKey identifies one released resource within a body.
+type relKey struct{ spec, token string }
+
+// eachRelease calls fn for every resource call releases: a release
+// call of any spec, or a callee whose Releases summary covers an
+// argument.
+func (c *checker) eachRelease(call *ast.CallExpr, fn func(relKey)) {
+	for _, sp := range specs {
+		if tok, ok := c.releaseToken(sp, call); ok {
+			fn(relKey{sp.name, tok})
+		}
+	}
+	if rf := c.factFor(eosutil.Callee(c.pass.TypesInfo, call)); rf != nil {
+		for _, p := range rf.Releases {
+			if tok, ok := operand(call, p.Param); ok {
+				fn(relKey{p.Spec, tok + p.Suffix})
+			}
+		}
+	}
+}
+
+// releasedSet collects every resource released anywhere in f's body,
+// deferred releases included; releases inside a non-deferred literal
+// do not count (the literal may never run here).
+func (c *checker) releasedSet(f *ssa.Func) map[relKey]bool {
+	out := make(map[relKey]bool)
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if call := b.Instrs[i].Call; call != nil {
+				c.eachRelease(call, func(k relKey) { out[k] = true })
+			}
+		}
+	}
+	return out
+}
+
+func (c *checker) updateReleases(f *ssa.Func) bool {
+	sum := c.sums[f]
+	params := paramIndex(f.Decl)
+	changed := false
+	for rk := range c.releasedSet(f) {
+		base, suffix := splitToken(specNamed(rk.spec), rk.token)
+		i, isParam := params[base]
+		if !isParam || hasParam(sum.Releases, rk.spec, i, suffix) {
+			continue
+		}
+		sum.Releases = append(sum.Releases, Param{Spec: rk.spec, Param: i, Suffix: suffix})
+		changed = true
+	}
+	return changed
+}
+
+// updateAcquires derives the Acquires and Returns summaries.  An
+// acquire whose token is released somewhere in the same body is
+// balanced and contributes nothing; a parameter-rooted acquire makes
+// the parameter held-on-return; a result-keyed acquire whose result is
+// returned makes the function a producer.
+func (c *checker) updateAcquires(f *ssa.Func) bool {
+	sum := c.sums[f]
+	params := paramIndex(f.Decl)
+	released := c.releasedSet(f)
+	changed := false
+	for _, s := range c.sites(f) {
+		if s.result {
+			if c.produces(f, s, released) && !hasResult(sum.Returns, s.spec.name) {
+				sum.Returns = append(sum.Returns, Result{Spec: s.spec.name, Chain: s.chain})
+				changed = true
+			}
+			continue
+		}
+		if released[relKey{s.spec.name, s.token}] {
+			continue
+		}
+		base, suffix := splitToken(s.spec, s.token)
+		i, isParam := params[base]
+		if !isParam || hasParam(sum.Acquires, s.spec.name, i, suffix) {
+			continue
+		}
+		sum.Acquires = append(sum.Acquires, Param{Spec: s.spec.name, Param: i, Suffix: suffix, Chain: s.chain})
+		changed = true
+	}
+	return changed
+}
+
+func hasParam(ps []Param, spec string, i int, suffix string) bool {
+	for _, p := range ps {
+		if p.Spec == spec && p.Param == i && p.Suffix == suffix {
+			return true
+		}
+	}
+	return false
+}
+
+func hasResult(rs []Result, spec string) bool {
+	for _, r := range rs {
+		if r.Spec == spec {
+			return true
+		}
+	}
+	return false
+}
+
+// produces reports whether result-keyed site s hands its resource to
+// f's caller: the call is returned directly, or its result variable is
+// returned without a release in the body.  For transferOnUse specs a
+// use before the return hands the resource off instead.
+func (c *checker) produces(f *ssa.Func, s *site, released map[relKey]bool) bool {
+	if s.tokenObj == nil {
+		return returnsCall(f.Body, s.call)
+	}
+	if released[relKey{s.spec.name, s.token}] ||
+		(s.spec.transferOnUse && c.usedOutsideReturn(f.Body, s)) {
+		return false
+	}
+	returned := false
+	inspectBody(f.Body, func(n ast.Node) {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for _, res := range ret.Results {
+				if id, ok := res.(*ast.Ident); ok && c.pass.TypesInfo.ObjectOf(id) == s.tokenObj {
+					returned = true
+				}
+			}
+		}
+	})
+	return returned
+}
+
+// site is one acquire under check: a literal acquire call, or a call
+// whose callee's summary acquires (chain non-nil).
 type site struct {
-	spec     *Spec
+	spec     *spec
 	call     *ast.CallExpr
-	method   string
-	token    string       // expression string identifying the resource
-	tokenObj types.Object // variable object for KeyResult0 tokens
-	errVar   types.Object // error variable guarding the acquire
+	method   string       // acquiring call, for diagnostics
+	token    string       // expression text identifying the resource; "" for an unbound result
+	tokenObj types.Object // variable holding a result-keyed resource
+	errVar   types.Object // error variable guarding a fallible acquire
 	// guardIf is the `if errVar != nil` statement that actually guards
 	// this acquire: the first test of errVar after the call and before
 	// errVar is overwritten.  Later tests of a reused err variable
 	// belong to other calls and exempt nothing.
 	guardIf *ast.IfStmt
+	chain   []string // call chain of a derived site; nil for a literal acquire
+	result  bool     // the call's first result carries the resource
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	specs := defaultSpecs()
-	if extraFlag != "" {
-		for _, ent := range strings.Split(extraFlag, ";") {
-			s, err := parseExtra(strings.TrimSpace(ent))
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, s)
-		}
-	}
-	byName := make(map[string]*Spec, len(specs))
-	for _, s := range specs {
-		byName[s.Name] = s
-	}
-
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-	ig := ignore.For(pass)
-
-	exportReleaserFacts(pass, insp, specs, byName)
-
-	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}
-	insp.Preorder(nodeFilter, func(n ast.Node) {
-		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
-			return
-		}
-		var body *ast.BlockStmt
-		var g *cfg.CFG
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fn.Body == nil {
-				return
-			}
-			body = fn.Body
-			g = cfgs.FuncDecl(fn)
-		case *ast.FuncLit:
-			body = fn.Body
-			g = cfgs.FuncLit(fn)
-		}
-		if g == nil {
-			return
-		}
-		checkFunc(pass, ig, byName, specs, body, g)
-	})
-	return nil, nil
-}
-
-// exportReleaserFacts scans every function for releases of its own
-// parameters (or receiver) and exports a ReleasesFact.  The scan
-// iterates to a small fixpoint so a helper that releases through
-// another helper is recognized too.
-func exportReleaserFacts(pass *analysis.Pass, insp *inspector.Inspector, specs []*Spec, byName map[string]*Spec) {
-	type fnInfo struct {
-		obj  *types.Func
-		decl *ast.FuncDecl
-	}
-	var fns []fnInfo
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		decl := n.(*ast.FuncDecl)
-		if decl.Body == nil {
-			return
-		}
-		if strings.HasSuffix(pass.Fset.Position(decl.Pos()).Filename, "_test.go") {
-			return
-		}
-		obj, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func)
-		if !ok {
-			return
-		}
-		fns = append(fns, fnInfo{obj, decl})
-	})
-
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, fn := range fns {
-			var have ReleasesFact
-			pass.ImportObjectFact(fn.obj, &have)
-			got := releasedParams(pass, byName, specs, fn.decl)
-			if len(got) > len(have.Params) {
-				pass.ExportObjectFact(fn.obj, &ReleasesFact{Params: got})
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-// releasedParams lists the parameter releases performed by decl's
-// body: a release call (direct or deferred, not inside a non-deferred
-// literal) whose token names a parameter or the receiver.
-func releasedParams(pass *analysis.Pass, byName map[string]*Spec, specs []*Spec, decl *ast.FuncDecl) []ParamRelease {
-	// Parameter name → index; receiver → -1.
-	params := make(map[string]int)
-	if decl.Recv != nil && len(decl.Recv.List) == 1 {
-		for _, nm := range decl.Recv.List[0].Names {
-			params[nm.Name] = -1
-		}
-	}
-	idx := 0
-	if decl.Type.Params != nil {
-		for _, field := range decl.Type.Params.List {
-			for _, nm := range field.Names {
-				params[nm.Name] = idx
-				idx++
-			}
-			if len(field.Names) == 0 {
-				idx++
-			}
-		}
-	}
-	if len(params) == 0 {
-		return nil
-	}
-
-	var out []ParamRelease
-	seen := make(map[ParamRelease]bool)
-	add := func(spec, token, suffix string) {
-		base := strings.TrimSuffix(token, suffix)
-		if i, ok := params[base]; ok {
-			pr := ParamRelease{Spec: spec, Param: i, Suffix: suffix}
-			if !seen[pr] {
-				seen[pr] = true
-				out = append(out, pr)
-			}
-		}
-	}
-	scan := func(call *ast.CallExpr) {
-		for _, sp := range specs {
-			if sp.MutexFields != nil {
-				if key, method, token, ok := mutexEvent(pass, sp, call); ok &&
-					(method == "Unlock" || method == "RUnlock") {
-					_ = key
-					if i := strings.LastIndex(token, "."); i > 0 {
-						add(sp.Name, token, token[i:])
-					}
-				}
+// sites collects f's acquire sites.  Deferred acquires are ignored:
+// they run at exit, and nothing downstream can release them.
+func (c *checker) sites(f *ssa.Func) []*site {
+	var out []*site
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Call == nil || in.Deferred {
 				continue
 			}
-			if token, ok := releaseToken(pass, sp, call); ok {
-				add(sp.Name, token, "")
-			}
-		}
-		// A call to a known releaser releases its matching arguments.
-		if fn := eosutil.CalleeAny(pass.TypesInfo, call); fn != nil {
-			var fact ReleasesFact
-			if pass.ImportObjectFact(fn, &fact) {
-				for _, pr := range fact.Params {
-					if _, ok := byName[pr.Spec]; !ok {
-						continue
-					}
-					if tok, ok := releaseTokenAt(pass, call, pr); ok {
-						add(pr.Spec, tok, pr.Suffix)
-					}
+			for _, sp := range specs {
+				if m, tok, ok := c.acquireSite(sp, in.Call); ok {
+					out = append(out, &site{spec: sp, call: in.Call, method: m, token: tok,
+						result: sp.acquireKey == keyResult})
 				}
+			}
+			fn := eosutil.Callee(c.pass.TypesInfo, in.Call)
+			rf := c.factFor(fn)
+			if rf == nil {
+				continue
+			}
+			label := ssa.FuncLabel(c.pass.Pkg, fn)
+			for _, p := range rf.Acquires {
+				if tok, ok := operand(in.Call, p.Param); ok {
+					out = append(out, &site{spec: specNamed(p.Spec), call: in.Call, method: label,
+						token: tok + p.Suffix, chain: chainVia(label, p.Chain)})
+				}
+			}
+			for _, r := range rf.Returns {
+				out = append(out, &site{spec: specNamed(r.Spec), call: in.Call, method: label,
+					chain: chainVia(label, r.Chain), result: true})
 			}
 		}
 	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			scan(n.Call)
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, func(m ast.Node) bool {
-					if call, ok := m.(*ast.CallExpr); ok {
-						scan(call)
-					}
-					return true
-				})
-			}
-			return false
-		case *ast.CallExpr:
-			scan(n)
+	if len(out) == 0 {
+		return nil
+	}
+	// Bind each site to its assignment: the error variable guarding a
+	// fallible acquire, and the variable of a result-keyed one.
+	inspectBody(f.Body, func(n ast.Node) {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Rhs) != 1 {
+			return
 		}
-		return true
+		for _, s := range out {
+			if as.Rhs[0] != s.call {
+				continue
+			}
+			// The error is the last result — which may be the only one.
+			if id, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident); ok && s.spec.errGuarded && id.Name != "_" {
+				if obj := c.pass.TypesInfo.ObjectOf(id); obj != nil && eosutil.IsErrorType(obj.Type()) {
+					s.errVar = obj
+				}
+			}
+			if id, ok := as.Lhs[0].(*ast.Ident); ok && s.result && id.Name != "_" {
+				if obj := c.pass.TypesInfo.ObjectOf(id); obj != s.errVar {
+					s.token, s.tokenObj = id.Name, obj
+				}
+			}
+		}
 	})
 	return out
 }
 
-// checkFunc checks every acquire site of one function body.
-func checkFunc(pass *analysis.Pass, ig *ignore.Reporter, byName map[string]*Spec, specs []*Spec, body *ast.BlockStmt, g *cfg.CFG) {
-	sites := collectSites(pass, specs, body)
-	for _, s := range sites {
-		// A release deferred before the acquire (defer b.Wait() ahead of
-		// the submit loop) covers every exit but sits on no CFG path
-		// from the acquire; recognize it lexically.
-		if deferredReleaseBefore(pass, body, s) {
+func chainVia(label string, below []string) []string {
+	chain := append([]string{label}, below...)
+	if len(chain) > maxChain {
+		chain = chain[:maxChain]
+	}
+	return chain
+}
+
+// checkFunc checks every acquire site of f.
+func (c *checker) checkFunc(f *ssa.Func) {
+	for _, s := range c.sites(f) {
+		if s.token == "" {
+			// An unbound literal result has nothing to track; a
+			// summarized producer's result thrown away is a leak.
+			if s.chain != nil && !returnsCall(f.Body, s.call) {
+				c.ig.Report(s.call.Pos(),
+					"interprocedural %s leak: %s returns an acquired %s that is discarded (%s)",
+					s.spec.name, strings.Join(s.chain, " → "), s.spec.name, s.spec.hint)
+			}
 			continue
 		}
-		if leaks(pass, g, s, nil) {
-			relNames := releaseNames(s.spec)
-			switch {
-			case s.spec.ErrorPathsOnly:
-				ig.Report(s.call.Pos(),
-					"%s leak: the resource from %s(...) in %q is not released on an error-return path (%s)",
-					s.spec.Name, s.method, s.token, s.spec.Hint)
-			default:
-				ig.Report(s.call.Pos(),
-					"%s leak: %s(%s) can reach a function exit without %s(%s) (%s)",
-					s.spec.Name, s.method, s.token, relNames, s.token, s.spec.Hint)
-			}
+		if c.handsOff(f, s) {
+			continue
+		}
+		c.attachGuard(f.Body, s)
+		if c.deferredReleaseBefore(f.Body, s) || !c.leaks(f, s) {
+			continue
+		}
+		switch {
+		case s.chain != nil && s.result:
+			c.ig.Report(s.call.Pos(),
+				"interprocedural %s leak: %q acquired by call chain %s can reach a function exit without release (%s)",
+				s.spec.name, s.token, strings.Join(s.chain, " → "), s.spec.hint)
+		case s.chain != nil:
+			c.ig.Report(s.call.Pos(),
+				"interprocedural %s leak: call chain %s acquires %s and no subsequent path releases it before exit (%s)",
+				s.spec.name, strings.Join(s.chain, " → "), s.token, s.spec.hint)
+		case s.spec.errorPathsOnly:
+			c.ig.Report(s.call.Pos(),
+				"%s leak: the resource from %s(...) in %q is not released on an error-return path (%s)",
+				s.spec.name, s.method, s.token, s.spec.hint)
+		default:
+			c.ig.Report(s.call.Pos(),
+				"%s leak: %s(%s) can reach a function exit without %s(%s) (%s)",
+				s.spec.name, s.method, s.token, releaseNames(s.spec), s.token, s.spec.hint)
 		}
 	}
+}
+
+// handsOff reports whether s's obligation belongs to f's callers: its
+// token is rooted at a parameter that f never releases, and something
+// in the package calls f.  That is f's Acquires summary entry, checked
+// at each call site instead.
+func (c *checker) handsOff(f *ssa.Func, s *site) bool {
+	base, _ := splitToken(s.spec, s.token)
+	if _, isParam := paramIndex(f.Decl)[base]; !isParam || !c.called[f] {
+		return false
+	}
+	return !c.releasedSet(f)[relKey{s.spec.name, s.token}]
+}
+
+// leaks reports whether some path from s's acquire reaches a function
+// exit — an error-returning one for errorPathsOnly specs — without
+// settling the resource.
+func (c *checker) leaks(f *ssa.Func, s *site) bool {
+	start, at := f.Locate(s.call)
+	if start == nil {
+		return false // CFG elided the call (dead code)
+	}
+	return f.Walk(start, at,
+		func(n ast.Node) bool { return c.settles(n, s) },
+		func(b *ssa.Block) bool { return !c.isErrGuard(b, s) },
+		func(b *ssa.Block) bool {
+			if b.Raw.Kind == cfg.KindUnreachable {
+				return false
+			}
+			return !s.spec.errorPathsOnly || c.isErrorReturn(b)
+		})
 }
 
 // deferredReleaseBefore reports whether body registers a deferred
 // release of s's resource lexically before the acquire call (and not
 // inside a nested function literal).  Such a defer runs at every
-// function exit, so the acquire cannot leak.
-func deferredReleaseBefore(pass *analysis.Pass, body *ast.BlockStmt, s *site) bool {
+// function exit but sits on no CFG path from the acquire.
+func (c *checker) deferredReleaseBefore(body *ast.BlockStmt, s *site) bool {
 	covered := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if covered {
-			return false
+	inspectBody(body, func(n ast.Node) {
+		if d, ok := n.(*ast.DeferStmt); ok && d.Pos() < s.call.Pos() && c.settles(d, s) {
+			covered = true
 		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			if n.Pos() < s.call.Pos() && nodeEffect(pass, n, s, nil) == effectRelease {
-				covered = true
-			}
-			return false
-		}
-		return true
 	})
 	return covered
 }
 
-func releaseNames(sp *Spec) string {
-	if sp.MutexFields != nil {
+func releaseNames(sp *spec) string {
+	if sp.mutex {
 		return "Unlock"
 	}
 	seen := make(map[string]bool)
 	var names []string
-	for _, m := range sp.Release {
+	for _, m := range sp.release {
 		for _, n := range m.methods {
 			if !seen[n] {
 				seen[n] = true
@@ -646,107 +657,10 @@ func releaseNames(sp *Spec) string {
 	return strings.Join(names, "/")
 }
 
-// collectSites finds the acquire calls lexically inside body but not
-// inside a nested function literal.
-func collectSites(pass *analysis.Pass, specs []*Spec, body *ast.BlockStmt) []*site {
-	var sites []*site
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, sp := range specs {
-			if sp.MutexFields != nil {
-				_, method, token, ok := mutexEvent(pass, sp, call)
-				if ok && (method == "Lock" || method == "RLock") {
-					sites = append(sites, &site{spec: sp, call: call, method: method, token: token})
-				}
-				continue
-			}
-			m, ok := matchAny(pass, sp.Acquire, call)
-			if !ok {
-				continue
-			}
-			s := &site{spec: sp, call: call, method: m}
-			switch sp.AcquireKey {
-			case KeyArg0:
-				if len(call.Args) < 1 {
-					continue
-				}
-				s.token = types.ExprString(call.Args[0])
-			case KeyRecv:
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				s.token = types.ExprString(sel.X)
-			case KeyResult0:
-				// Resolved from the enclosing assignment below.
-			}
-			sites = append(sites, s)
-		}
-		return true
-	})
-	if len(sites) == 0 {
-		return nil
-	}
-	// Attach assignment-derived state: the error variable guarding each
-	// fallible acquire, and the token variable of result-keyed sites.
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, s := range sites {
-			if s.call != call {
-				continue
-			}
-			if s.spec.ErrGuarded && len(as.Lhs) >= 1 {
-				// The error is the last result — which may be the only
-				// one (err := b.Submit(sqe)).
-				if id, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident); ok && id.Name != "_" {
-					if obj := pass.TypesInfo.ObjectOf(id); obj != nil && eosutil.IsErrorType(obj.Type()) {
-						s.errVar = obj
-					}
-				}
-			}
-			if s.spec.AcquireKey == KeyResult0 {
-				if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-					s.token = id.Name
-					s.tokenObj = pass.TypesInfo.ObjectOf(id)
-				}
-			}
-		}
-		return true
-	})
-	// Result-keyed sites whose result was discarded have no token to
-	// track; drop them.
-	kept := sites[:0]
-	for _, s := range sites {
-		if s.spec.AcquireKey == KeyResult0 && s.tokenObj == nil {
-			continue
-		}
-		kept = append(kept, s)
-	}
-	for _, s := range kept {
-		attachGuard(pass, body, s)
-	}
-	return kept
-}
-
 // attachGuard locates the `if errVar != nil` statement that guards s:
 // the first test of s.errVar after the acquire call and before the
-// variable is written again.  A reused err variable makes every later
-// `if err != nil` look like a guard; only the one before the next
-// write belongs to this acquire.
-func attachGuard(pass *analysis.Pass, body *ast.BlockStmt, s *site) {
+// variable is written again.
+func (c *checker) attachGuard(body *ast.BlockStmt, s *site) {
 	if s.errVar == nil {
 		return
 	}
@@ -759,7 +673,7 @@ func attachGuard(pass *analysis.Pass, body *ast.BlockStmt, s *site) {
 			return true
 		}
 		for _, lhs := range as.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == s.errVar {
+			if id, ok := lhs.(*ast.Ident); ok && c.pass.TypesInfo.ObjectOf(id) == s.errVar {
 				if nextWrite == token.NoPos || as.Pos() < nextWrite {
 					nextWrite = as.Pos()
 				}
@@ -769,7 +683,7 @@ func attachGuard(pass *analysis.Pass, body *ast.BlockStmt, s *site) {
 	})
 	ast.Inspect(body, func(n ast.Node) bool {
 		ifs, ok := n.(*ast.IfStmt)
-		if !ok || !condTestsVar(pass, ifs.Cond, s.errVar) {
+		if !ok || !c.condTestsVar(ifs.Cond, s.errVar) {
 			return true
 		}
 		pos := ifs.Cond.Pos()
@@ -785,245 +699,40 @@ func attachGuard(pass *analysis.Pass, body *ast.BlockStmt, s *site) {
 
 // condTestsVar reports whether cond is a binary comparison mentioning
 // obj.
-func condTestsVar(pass *analysis.Pass, cond ast.Expr, obj types.Object) bool {
+func (c *checker) condTestsVar(cond ast.Expr, obj types.Object) bool {
 	bin, ok := cond.(*ast.BinaryExpr)
 	if !ok {
 		return false
 	}
-	if x, ok := bin.X.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(x) == obj {
-		return true
-	}
-	if y, ok := bin.Y.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(y) == obj {
-		return true
+	for _, e := range []ast.Expr{bin.X, bin.Y} {
+		if id, ok := e.(*ast.Ident); ok && c.pass.TypesInfo.ObjectOf(id) == obj {
+			return true
+		}
 	}
 	return false
 }
 
-// matchAny matches call against a matcher list, returning the method.
-func matchAny(pass *analysis.Pass, ms []matcher, call *ast.CallExpr) (string, bool) {
-	for _, m := range ms {
-		if m.typ == "" {
-			if name, ok := isPkgFuncCall(pass.TypesInfo, call, m.pkg, m.methods); ok {
-				return name, true
-			}
-			continue
-		}
-		if name, ok := eosutil.IsMethodCallAny(pass.TypesInfo, call, m.pkg, m.typ, m.methods...); ok {
-			return name, true
-		}
-	}
-	return "", false
-}
-
-// isPkgFuncCall reports whether call invokes a package-level function
-// of the package named pkg with one of the given names.  Matching is
-// by package name (not import path), like the method matcher, so
-// analysistest fixtures can declare stand-in packages.
-func isPkgFuncCall(info *types.Info, call *ast.CallExpr, pkg string, funcs []string) (string, bool) {
-	fn := eosutil.CalleeAny(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != pkg {
-		return "", false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "", false
-	}
-	for _, m := range funcs {
-		if fn.Name() == m {
-			return m, true
-		}
-	}
-	return "", false
-}
-
-// mutexEvent classifies call as Lock/RLock/Unlock/RUnlock on one of
-// the spec's ranked mutex fields, returning the "Type.field" key, the
-// method, and the owner token ("sh.mu").
-func mutexEvent(pass *analysis.Pass, sp *Spec, call *ast.CallExpr) (key, method, token string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", "", false
-	}
-	method = sel.Sel.Name
-	switch method {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", "", false
-	}
-	fieldSel, isSel := sel.X.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", "", false
-	}
-	selection, found := pass.TypesInfo.Selections[fieldSel]
-	if !found {
-		return "", "", "", false
-	}
-	field, isVar := selection.Obj().(*types.Var)
-	if !isVar || !field.IsField() {
-		return "", "", "", false
-	}
-	owner := ownerTypeName(selection.Recv())
-	if owner == "" {
-		return "", "", "", false
-	}
-	key = owner + "." + field.Name()
-	if !sp.MutexFields[key] {
-		return "", "", "", false
-	}
-	return key, method, types.ExprString(fieldSel), true
-}
-
-// ownerTypeName returns the name of the named type t denotes
-// (unwrapping pointers), or "".
-func ownerTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
-// releaseToken reports whether call is a release call of sp, and the
-// token it releases.
-func releaseToken(pass *analysis.Pass, sp *Spec, call *ast.CallExpr) (string, bool) {
-	if sp.MutexFields != nil {
-		_, method, token, ok := mutexEvent(pass, sp, call)
-		if !ok || (method != "Unlock" && method != "RUnlock") {
-			return "", false
-		}
-		return token, true
-	}
-	if _, ok := matchAny(pass, sp.Release, call); !ok {
-		return "", false
-	}
-	switch sp.ReleaseKey {
-	case KeyArg0:
-		if len(call.Args) < 1 {
-			return "", false
-		}
-		return types.ExprString(call.Args[0]), true
-	case KeyRecv:
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return "", false
-		}
-		return types.ExprString(sel.X), true
-	}
-	return "", false
-}
-
-// releaseTokenAt resolves the token a releaser-fact entry releases at
-// a concrete call site.
-func releaseTokenAt(pass *analysis.Pass, call *ast.CallExpr, pr ParamRelease) (string, bool) {
-	if pr.Param == -1 {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return "", false
-		}
-		return types.ExprString(sel.X) + pr.Suffix, true
-	}
-	if pr.Param >= len(call.Args) {
-		return "", false
-	}
-	return types.ExprString(call.Args[pr.Param]) + pr.Suffix, true
-}
-
-// leaks reports whether some path from s's acquire to a function exit
-// misses the release.  A nil hook means this analyzer's own
-// ReleasesFact lookup recognizes releaser calls.
-func leaks(pass *analysis.Pass, g *cfg.CFG, s *site, hook ReleaseHook) bool {
-	start, startIdx := findNode(g, s.call)
-	if start == nil {
-		return false // CFG elided the call (dead code)
-	}
-	seen := map[*cfg.Block]bool{start: true}
-	var visit func(b *cfg.Block, from int) bool
-	visit = func(b *cfg.Block, from int) bool {
-		if b != start || from == 0 {
-			if b != start {
-				if seen[b] {
-					return false
-				}
-				seen[b] = true
-			} else if seen[start] {
-				return false // looped back to the acquire block
-			}
-			// The then-branch of the acquire's own error check runs
-			// only when nothing was acquired.
-			if isErrGuard(pass, b, s) {
-				return false
-			}
-		}
-		for i := from; i < len(b.Nodes); i++ {
-			switch nodeEffect(pass, b.Nodes[i], s, hook) {
-			case effectRelease, effectTransfer:
-				return false
-			}
-		}
-		if len(b.Succs) == 0 {
-			if b.Kind == cfg.KindUnreachable {
-				return false
-			}
-			if s.spec.ErrorPathsOnly {
-				return isErrorReturn(pass, b)
-			}
-			return true
-		}
-		for _, succ := range b.Succs {
-			if visit(succ, 0) {
-				return true
-			}
-		}
-		return false
-	}
-	return visit(start, startIdx+1)
-}
-
-// findNode returns the live block containing n and its node index.
-func findNode(g *cfg.CFG, target ast.Node) (*cfg.Block, int) {
-	for _, b := range g.Blocks {
-		if !b.Live {
-			continue
-		}
-		for i, n := range b.Nodes {
-			found := false
-			ast.Inspect(n, func(m ast.Node) bool {
-				if m == target {
-					found = true
-				}
-				return !found
-			})
-			if found {
-				return b, i
-			}
-		}
-	}
-	return nil, 0
-}
-
 // isErrGuard reports whether b is the then-branch of the `if err != nil`
-// statement guarding this acquire.  Literal sites carry the precise
-// guard statement found by attachGuard; obligation sites from leaksip
-// fall back to matching any test of the error variable.
-func isErrGuard(pass *analysis.Pass, b *cfg.Block, s *site) bool {
-	if s.errVar == nil || b.Kind != cfg.KindIfThen {
+// statement guarding s; without a located guard, any test of the error
+// variable counts.
+func (c *checker) isErrGuard(b *ssa.Block, s *site) bool {
+	if s.errVar == nil || b.Raw.Kind != cfg.KindIfThen {
 		return false
 	}
-	ifStmt, ok := b.Stmt.(*ast.IfStmt)
+	ifStmt, ok := b.Raw.Stmt.(*ast.IfStmt)
 	if !ok {
 		return false
 	}
 	if s.guardIf != nil {
 		return ifStmt == s.guardIf
 	}
-	return condTestsVar(pass, ifStmt.Cond, s.errVar)
+	return c.condTestsVar(ifStmt.Cond, s.errVar)
 }
 
 // isErrorReturn reports whether exit block b returns a non-nil error
 // expression.
-func isErrorReturn(pass *analysis.Pass, b *cfg.Block) bool {
-	for _, n := range b.Nodes {
+func (c *checker) isErrorReturn(b *ssa.Block) bool {
+	for _, n := range b.Raw.Nodes {
 		ret, ok := n.(*ast.ReturnStmt)
 		if !ok {
 			continue
@@ -1032,7 +741,7 @@ func isErrorReturn(pass *analysis.Pass, b *cfg.Block) bool {
 			if id, ok := res.(*ast.Ident); ok && id.Name == "nil" {
 				continue
 			}
-			if tv, ok := pass.TypesInfo.Types[res]; ok && eosutil.IsErrorType(tv.Type) {
+			if tv, ok := c.pass.TypesInfo.Types[res]; ok && eosutil.IsErrorType(tv.Type) {
 				return true
 			}
 		}
@@ -1040,111 +749,205 @@ func isErrorReturn(pass *analysis.Pass, b *cfg.Block) bool {
 	return false
 }
 
-type effect int
-
-const (
-	effectNone effect = iota
-	effectRelease
-	effectTransfer
-)
-
-// nodeEffect classifies CFG node n's effect on s's resource: a release
-// (direct, deferred, or via a releaser-fact call), an ownership
-// transfer (TransferOnUse specs), or nothing.
-func nodeEffect(pass *analysis.Pass, n ast.Node, s *site, hook ReleaseHook) effect {
-	released := false
-	scanCalls := func(root ast.Node, includeLits bool) {
-		ast.Inspect(root, func(m ast.Node) bool {
-			if released {
-				return false
-			}
-			if _, ok := m.(*ast.FuncLit); ok && !includeLits {
-				return false
-			}
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if callReleases(pass, call, s, hook) {
-				released = true
-				return false
-			}
+// settles reports whether CFG node n ends the tracking of s's resource
+// on its path: a release (direct, deferred, or through a releaser
+// summary), returning the token to the caller, or — for transferOnUse
+// specs — any other statement-level use of the token.  A read inside a
+// branch condition, which appears in the CFG as a bare expression
+// node, keeps the resource tracked.
+func (c *checker) settles(n ast.Node, s *site) bool {
+	if d, ok := n.(*ast.DeferStmt); ok {
+		if c.callReleases(d.Call, s) {
 			return true
-		})
+		}
+		lit, ok := d.Call.Fun.(*ast.FuncLit)
+		return ok && c.releasesIn(lit.Body, s, true)
 	}
-	switch n := n.(type) {
-	case *ast.DeferStmt:
-		if callReleases(pass, n.Call, s, hook) {
-			return effectRelease
-		}
-		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			scanCalls(lit.Body, true)
-			if released {
-				return effectRelease
-			}
-		}
-		return effectNone
-	default:
-		scanCalls(n, false)
-		if released {
-			return effectRelease
-		}
-		// Only statement-level uses hand ownership off (a store, a call
-		// argument, a return value).  A read inside a branch condition —
-		// which appears in the CFG as a bare expression node — keeps the
-		// resource tracked.
-		if _, isStmt := n.(ast.Stmt); isStmt &&
-			s.spec.TransferOnUse && s.tokenObj != nil && usesToken(pass, n, s) {
-			return effectTransfer
-		}
-		return effectNone
-	}
-}
-
-// callReleases reports whether call releases s's resource: a matching
-// release call on the same token, or a releaser call recognized by the
-// hook (when set) or this analyzer's own ReleasesFact (when not).
-func callReleases(pass *analysis.Pass, call *ast.CallExpr, s *site, hook ReleaseHook) bool {
-	if tok, ok := releaseToken(pass, s.spec, call); ok && tok == s.token {
+	if c.releasesIn(n, s, false) {
 		return true
 	}
-	if hook != nil {
-		return hook(call, s.spec, s.token)
-	}
-	fn := eosutil.CalleeAny(pass.TypesInfo, call)
-	if fn == nil {
-		return false
-	}
-	var fact ReleasesFact
-	if !pass.ImportObjectFact(fn, &fact) {
-		return false
-	}
-	for _, pr := range fact.Params {
-		if pr.Spec != s.spec.Name {
-			continue
-		}
-		if tok, ok := releaseTokenAt(pass, call, pr); ok && tok == s.token {
-			return true
-		}
-	}
-	return false
+	_, isRet := n.(*ast.ReturnStmt)
+	_, isStmt := n.(ast.Stmt)
+	return s.tokenObj != nil && isStmt && (isRet || s.spec.transferOnUse) && c.usesToken(n, s)
 }
 
-// usesToken reports whether n mentions s's token variable outside a
-// release context — for TransferOnUse specs this hands ownership off.
-func usesToken(pass *analysis.Pass, n ast.Node, s *site) bool {
-	used := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if used {
+// releasesIn reports whether a call under root releases s's resource;
+// calls inside function literals count only with lits set.
+func (c *checker) releasesIn(root ast.Node, s *site, lits bool) bool {
+	released := false
+	ast.Inspect(root, func(m ast.Node) bool {
+		if _, ok := m.(*ast.FuncLit); (ok && !lits) || released {
 			return false
 		}
-		if id, ok := m.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == s.tokenObj {
-			// The defining assignment itself is not a use.
-			if id.Pos() > s.call.End() || id.Pos() < s.call.Pos() {
-				used = true
-			}
+		if call, ok := m.(*ast.CallExpr); ok {
+			released = c.callReleases(call, s)
+		}
+		return !released
+	})
+	return released
+}
+
+func (c *checker) callReleases(call *ast.CallExpr, s *site) bool {
+	found := false
+	c.eachRelease(call, func(k relKey) {
+		found = found || (k.spec == s.spec.name && k.token == s.token)
+	})
+	return found
+}
+
+// usesToken reports whether n mentions s's token variable outside the
+// acquiring call's own assignment.
+func (c *checker) usesToken(n ast.Node, s *site) bool {
+	used := false
+	ast.Inspect(n, func(m ast.Node) bool {
+		if id, ok := m.(*ast.Ident); ok && c.pass.TypesInfo.ObjectOf(id) == s.tokenObj &&
+			(id.Pos() > s.call.End() || id.Pos() < s.call.Pos()) {
+			used = true
 		}
 		return !used
 	})
 	return used
+}
+
+// usedOutsideReturn reports whether s's token variable is used after
+// the acquire call anywhere but a return statement.
+func (c *checker) usedOutsideReturn(body *ast.BlockStmt, s *site) bool {
+	used := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ReturnStmt:
+			return false
+		case *ast.Ident:
+			used = used || (n.Pos() > s.call.End() && c.pass.TypesInfo.ObjectOf(n) == s.tokenObj)
+		}
+		return !used
+	})
+	return used
+}
+
+// returnsCall reports whether call appears directly as a return result
+// (`return openTxn(s)`).
+func returnsCall(body *ast.BlockStmt, call *ast.CallExpr) bool {
+	found := false
+	inspectBody(body, func(n ast.Node) {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for _, res := range ret.Results {
+				found = found || res == call
+			}
+		}
+	})
+	return found
+}
+
+// inspectBody calls fn for every node of body outside nested function
+// literals.
+func inspectBody(body *ast.BlockStmt, fn func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			fn(n)
+		}
+		return true
+	})
+}
+
+// paramIndex maps a declaration's parameter (and receiver) names to
+// their summary indices: receiver -1, parameters 0..n-1.  It returns
+// nil for a function literal.
+func paramIndex(decl *ast.FuncDecl) map[string]int {
+	if decl == nil {
+		return nil
+	}
+	params := make(map[string]int)
+	if decl.Recv != nil && len(decl.Recv.List) == 1 {
+		for _, nm := range decl.Recv.List[0].Names {
+			params[nm.Name] = keyRecv
+		}
+	}
+	idx := 0
+	for _, field := range decl.Type.Params.List {
+		for _, nm := range field.Names {
+			params[nm.Name] = idx
+			idx++
+		}
+		if len(field.Names) == 0 {
+			idx++
+		}
+	}
+	return params
+}
+
+// splitToken splits a latch token ("sh.mu") into its base and field
+// suffix; other tokens pass through whole.
+func splitToken(sp *spec, token string) (base, suffix string) {
+	if sp.mutex {
+		if i := strings.LastIndex(token, "."); i > 0 {
+			return token[:i], token[i:]
+		}
+	}
+	return token, ""
+}
+
+// operand returns the expression text of call's receiver (i ==
+// keyRecv) or argument i.
+func operand(call *ast.CallExpr, i int) (string, bool) {
+	if i == keyRecv {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return "", false
+		}
+		return types.ExprString(sel.X), true
+	}
+	if i < 0 || i >= len(call.Args) {
+		return "", false
+	}
+	return types.ExprString(call.Args[i]), true
+}
+
+// acquireSite reports whether call is one of sp's acquire calls, with
+// the acquiring method and — except for result-keyed specs, whose
+// token is bound from the enclosing assignment — the token.
+func (c *checker) acquireSite(sp *spec, call *ast.CallExpr) (method, token string, ok bool) {
+	if sp.mutex {
+		_, m, tok, isLock := c.pr.LockEvent(call)
+		return m, tok, isLock && (m == "Lock" || m == "RLock")
+	}
+	m, matched := c.matchAny(sp.acquire, call)
+	if !matched || sp.acquireKey == keyResult {
+		return m, "", matched
+	}
+	tok, ok := operand(call, sp.acquireKey)
+	return m, tok, ok
+}
+
+// releaseToken reports whether call is one of sp's release calls, and
+// the token it releases.
+func (c *checker) releaseToken(sp *spec, call *ast.CallExpr) (string, bool) {
+	if sp.mutex {
+		_, m, tok, ok := c.pr.LockEvent(call)
+		return tok, ok && (m == "Unlock" || m == "RUnlock")
+	}
+	if _, ok := c.matchAny(sp.release, call); !ok {
+		return "", false
+	}
+	return operand(call, sp.releaseKey)
+}
+
+// matchAny matches call against a matcher list, returning the method.
+func (c *checker) matchAny(ms []matcher, call *ast.CallExpr) (string, bool) {
+	for _, m := range ms {
+		var name string
+		var ok bool
+		if m.typ == "" {
+			name, ok = eosutil.IsPkgNameCall(c.pass.TypesInfo, call, m.pkg, m.methods...)
+		} else {
+			name, ok = eosutil.IsMethodCallAny(c.pass.TypesInfo, call, m.pkg, m.typ, m.methods...)
+		}
+		if ok {
+			return name, true
+		}
+	}
+	return "", false
 }

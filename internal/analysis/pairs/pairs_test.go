@@ -30,3 +30,10 @@ func TestAlloc(t *testing.T) {
 func TestFileVol(t *testing.T) {
 	analyzertest.Run(t, "../testdata", pairs.Analyzer, "pairs_filevol_bad", "pairs_filevol_clean")
 }
+
+// TestInterprocedural runs the call-chain fixtures (leaksip_*, named
+// after the retired whole-program twin): wrapper-acquired resources
+// whose obligation lands in the caller.
+func TestInterprocedural(t *testing.T) {
+	analyzertest.Run(t, "../testdata", pairs.Analyzer, "leaksip_bad", "leaksip_clean")
+}

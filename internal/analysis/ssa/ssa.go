@@ -1,36 +1,40 @@
-// Package ssa builds the shared whole-program analysis facility of the
-// eoslint v3 passes: a pruned SSA-style intermediate representation of
-// every function in the package — basic blocks lifted from the
+// Package ssa builds the shared analysis facility of the eoslint
+// passes: a pruned SSA-style intermediate representation of every
+// function in the package — basic blocks lifted from the
 // toolchain-vendored go/cfg, a dominator tree per function, and a
 // classified instruction stream (ranked-latch acquire/release, WAL
 // appends and forces, device forces and directory syncs, large-object
 // mutations, checkpoint meta writes, quarantine stamps, resolved call
-// sites) — plus a call
-// graph that resolves static calls directly and dynamic calls through
-// class-hierarchy analysis (CHA) over the package and its imports, and
-// a strongly-connected-component condensation in bottom-up (callees
-// first) order for interprocedural summary computation.
+// sites) — plus a call graph that resolves static calls directly and
+// dynamic calls through class-hierarchy analysis (CHA) over the
+// package and its imports, a strongly-connected-component condensation
+// in bottom-up (callees first) order for interprocedural summary
+// computation, and the forward path engine (Walk) of the resource
+// passes.
 //
 // golang.org/x/tools/go/ssa is not part of the toolchain-vendored
 // subset of x/tools this repository builds against (vendoring pulls
 // only what go vet itself vendors), so this package implements the
-// slice of it the whole-program passes need natively: it does not
-// insert φ-nodes or rename every local, but it gives each pass the
-// same dominance, ordering, and call-resolution queries the go/ssa +
-// go/callgraph pair would.  The interprocedural passes (deadlock,
-// walfirstip, leaksip) each layer their own per-function summaries —
-// propagated across packages through go/analysis object facts — on top
-// of this IR.
+// slice of it the passes need natively: it does not insert φ-nodes or
+// rename every local, but it gives each pass the same dominance,
+// ordering, and call-resolution queries the go/ssa + go/callgraph pair
+// would.  Each invariant pass (lockorder, walfirst, pairs, forcedom,
+// racecheck) layers its own per-function summaries — propagated across
+// packages through go/analysis object facts — on top of this IR; a
+// check within one function is the case where every callee summary is
+// empty.
 //
-// Function literals are deliberately not modeled as separate functions:
-// a closure may run on another goroutine (where the enclosing lock and
-// logging context does not apply), so instruction extraction skips
-// them, exactly as the v1/v2 intraprocedural analyzers do.  Calls
-// inside a deferred statement (including inside an immediately-deferred
-// literal) are marked Deferred: they run at function exit.
+// A function literal is not part of its enclosing function: it may run
+// later or on another goroutine, where the enclosing lock, logging and
+// ownership context does not apply, so instruction extraction skips
+// it.  Each literal body is instead lifted as a function of its own
+// (Program.Lits), outside the call graph.  Calls inside a deferred
+// statement (including inside an immediately-deferred literal) are
+// marked Deferred: they run at function exit.
 package ssa
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -47,22 +51,20 @@ import (
 )
 
 // Analyzer builds the *Program IR for a package.  It is a prerequisite
-// (Requires) of the whole-program passes, not a checker: it reports
-// nothing itself.
+// (Requires) of the passes, not a checker: it reports nothing itself.
 var Analyzer = &analysis.Analyzer{
 	Name:       "eosssa",
-	Doc:        "build the pruned-SSA IR and call graph shared by the whole-program passes (internal prerequisite)\n\nNot a checker: it feeds basic blocks, dominators, and the CHA call graph to deadlock, walfirstip, leaksip, forcedom, and racecheck.",
+	Doc:        "build the pruned-SSA IR and call graph shared by the eoslint passes (internal prerequisite)\n\nNot a checker: it feeds basic blocks, dominators, the CHA call graph and the path engine to lockorder, walfirst, pairs, useafterunpin, forcedom, and racecheck.",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
 	Run:        run,
 	ResultType: reflect.TypeOf((*Program)(nil)),
 }
 
 // LockRanks returns the engine's canonical latch lattice, keyed by
-// "Type.field" of the mutex field and valued by rank.  The lockorder
-// analyzer seeds its intraprocedural lattice from the same table, so
-// the two checks cannot drift.  Matching is by type and field name
-// (not import path) so analyzertest fixtures can declare stand-in
-// types.
+// "Type.field" of the mutex field and valued by rank.  lockorder checks
+// acquisition order against it and pairs checks that every Lock on one
+// of its keys is unlocked.  Matching is by type and field name (not
+// import path) so analyzertest fixtures can declare stand-in types.
 func LockRanks() map[string]int {
 	return map[string]int{
 		"Store.mu":         10,
@@ -79,25 +81,30 @@ func LockRanks() map[string]int {
 		"CrashDevice.mu":   56, // test crash model; held across inner-device I/O
 		"CrashTrace.mu":    57, // crash recording; leaf under CrashDevice.mu
 		"Volume.mu":        60,
-		"FileVolume.mu":    62, // closed flag of the file backend
 		"Volume.accMu":     70,
 		"FileVolume.accMu": 72, // file-backend accounting
 	}
 }
 
 // Mutators lists the lob.Object methods that change object state —
-// the mutation events of the §4.5 write-ahead rule.  Shared with the
-// intraprocedural walfirst analyzer.
+// the mutation events of the §4.5 write-ahead rule.  SetLSN and Rebind
+// are bookkeeping and Read/Size/EncodeDescriptor are pure; everything
+// here either moves bytes or frees pages.
 var Mutators = []string{
 	"Append", "AppendWithHint", "Insert", "Delete", "Replace",
 	"Destroy", "Truncate", "Compact",
 }
 
 // Program is the package-level IR: one Func per function declaration
-// with a body, plus the call graph over them.
+// with a body, plus the call graph over them, and one Func per function
+// literal.
 type Program struct {
 	Pass  *analysis.Pass
 	Funcs []*Func
+	// Lits holds one Func per function literal, in source order.  A
+	// literal body starts with nothing held, logged or owned; Lits are
+	// in neither ByObj nor SCCs.
+	Lits []*Func
 	// ByObj maps the defining *types.Func to its IR.
 	ByObj map[*types.Func]*Func
 	// SCCs is the call-graph condensation in bottom-up order: every
@@ -110,10 +117,20 @@ type Program struct {
 	cha   *chaResolver
 }
 
-// Func is the IR of one function declaration.
+// All returns every function of the package: the declarations, then the
+// literals.
+func (pr *Program) All() []*Func {
+	return append(pr.Funcs[:len(pr.Funcs):len(pr.Funcs)], pr.Lits...)
+}
+
+// Func is the IR of one function declaration or function literal.
 type Func struct {
-	Obj    *types.Func
-	Decl   *ast.FuncDecl
+	Obj  *types.Func   // nil for a literal
+	Decl *ast.FuncDecl // nil for a literal
+	Body *ast.BlockStmt
+	// Name labels the function in diagnostics: "(*Txn).Append", or
+	// "flush$1" for the first literal inside flush.
+	Name   string
 	Blocks []*Block // parallel to the go/cfg block list
 	Entry  *Block
 
@@ -242,31 +259,41 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		cha:   newCHAResolver(pass),
 	}
 
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		decl := n.(*ast.FuncDecl)
-		if decl.Body == nil {
-			return
+	var encl *Func // declaration enclosing the literals that follow
+	nlit := 0
+	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}, func(n ast.Node) {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			encl, nlit = nil, 0
+			obj, ok := pass.TypesInfo.Defs[n.Name].(*types.Func)
+			if !ok || n.Body == nil {
+				return
+			}
+			f := pr.buildFunc(FuncLabel(pass.Pkg, obj), n.Body, cfgs.FuncDecl(n))
+			f.Obj, f.Decl = obj, n
+			pr.Funcs = append(pr.Funcs, f)
+			pr.ByObj[obj] = f
+			encl = f
+		case *ast.FuncLit:
+			if encl != nil && n.Pos() >= encl.Body.End() {
+				encl, nlit = nil, 0
+			}
+			nlit++
+			name := "init"
+			if encl != nil {
+				name = encl.Name
+			}
+			pr.Lits = append(pr.Lits, pr.buildFunc(fmt.Sprintf("%s$%d", name, nlit), n.Body, cfgs.FuncLit(n)))
 		}
-		obj, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func)
-		if !ok {
-			return
-		}
-		g := cfgs.FuncDecl(decl)
-		if g == nil {
-			return
-		}
-		f := pr.buildFunc(obj, decl, g)
-		pr.Funcs = append(pr.Funcs, f)
-		pr.ByObj[obj] = f
 	})
 
 	pr.SCCs = pr.condense()
 	return pr, nil
 }
 
-// buildFunc lifts one function: blocks, instructions, dominators.
-func (pr *Program) buildFunc(obj *types.Func, decl *ast.FuncDecl, g *cfg.CFG) *Func {
-	f := &Func{Obj: obj, Decl: decl}
+// buildFunc lifts one function body: blocks, instructions, dominators.
+func (pr *Program) buildFunc(name string, body *ast.BlockStmt, g *cfg.CFG) *Func {
+	f := &Func{Name: name, Body: body}
 	f.Blocks = make([]*Block, len(g.Blocks))
 	for i, rb := range g.Blocks {
 		f.Blocks[i] = &Block{Index: int32(i), Raw: rb, rpo: -1}
@@ -367,7 +394,7 @@ func (pr *Program) classify(call *ast.CallExpr, deferred bool, out *[]Instr) {
 	in := Instr{Kind: KCall, Call: call, Deferred: deferred}
 	in.Callees = pr.cha.resolve(call)
 
-	if key, method, token, ok := pr.lockEvent(call); ok {
+	if key, method, token, ok := pr.LockEvent(call); ok {
 		in.LockKey, in.LockRank, in.LockToken = key, pr.ranks[key], token
 		switch method {
 		case "Lock", "RLock":
@@ -419,7 +446,7 @@ func (pr *Program) durabilityEvent(call *ast.CallExpr) (Kind, string, bool) {
 			return KDevForce, tn + "." + m, true
 		}
 	}
-	if isPkgNameFunc(info, call, "disk", "SyncDir") {
+	if _, ok := eosutil.IsPkgNameCall(info, call, "disk", "SyncDir"); ok {
 		return KSyncDir, "disk.SyncDir", true
 	}
 	if eosutil.IsPkgFunc(info, call, "os", "Rename") {
@@ -457,24 +484,10 @@ func isBarrierStamp(call *ast.CallExpr) bool {
 	return ok && field.Sel.Name == "barrierDurable"
 }
 
-// isPkgNameFunc matches a package-level function by package *name*
-// (unlike eosutil.IsPkgFunc, which wants the full import path) so
-// fixture stand-ins for engine packages match too.
-func isPkgNameFunc(info *types.Info, call *ast.CallExpr, pkgName, name string) bool {
-	fn := eosutil.Callee(info, call)
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg() != nil && fn.Pkg().Name() == pkgName
-}
-
-// lockEvent classifies call as Lock/RLock/Unlock/RUnlock on a ranked
+// LockEvent classifies call as Lock/RLock/Unlock/RUnlock on a ranked
 // mutex field (owner.field.Lock()), returning the lattice key, the
-// method, and the receiver expression text.
-func (pr *Program) lockEvent(call *ast.CallExpr) (key, method, token string, ok bool) {
+// method, and the receiver expression text ("sh.mu").
+func (pr *Program) LockEvent(call *ast.CallExpr) (key, method, token string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", "", false
@@ -546,8 +559,7 @@ func FuncLabel(from *types.Package, fn *types.Func) string {
 	return b.String()
 }
 
-// RankName labels the lattice levels for diagnostics, mirroring the
-// lockorder analyzer's vocabulary.
+// RankName labels the lattice levels for diagnostics.
 func RankName(r int) string {
 	switch {
 	case r < 15:

@@ -66,3 +66,15 @@ func invertedWithinVolume(v *Volume) {
 	v.mu.Lock() // want "lock order inversion: acquiring Volume.mu"
 	v.mu.Unlock()
 }
+
+// invertedInGoroutine inverts the lattice inside a goroutine body: the
+// literal is checked as a function of its own, with nothing held on
+// entry.
+func invertedInGoroutine(s *Store, sh *shard) {
+	go func() {
+		sh.mu.Lock()
+		s.mu.Lock() // want "lock order inversion: acquiring Store.mu \\(rank 10, manager\\) while holding shard.mu"
+		s.mu.Unlock()
+		sh.mu.Unlock()
+	}()
+}

@@ -79,3 +79,22 @@ func suppressedWithoutReason(pool *buffer.Pool, pg buffer.PageID) {
 	img, _ := pool.Fix(pg) // want "eoslint:ignore pairs without a '-- reason' clause"
 	_ = img
 }
+
+// leakInWalkClosure leaks inside a recursive walk closure, the shape
+// of the large-object tree walkers: the literal body is checked as a
+// function of its own.
+func leakInWalkClosure(pool *buffer.Pool, pages []buffer.PageID) error {
+	var walk func(i int) error
+	walk = func(i int) error {
+		if i == len(pages) {
+			return nil
+		}
+		img, err := pool.Fix(pages[i]) // want "pin leak: Fix\\(pages\\[i\\]\\) can reach a function exit without Unpin/Discard\\(pages\\[i\\]\\)"
+		if err != nil {
+			return err
+		}
+		_ = img
+		return walk(i + 1)
+	}
+	return walk(0)
+}

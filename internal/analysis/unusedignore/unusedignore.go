@@ -21,18 +21,15 @@ import (
 	"golang.org/x/tools/go/analysis"
 
 	"github.com/eosdb/eos/internal/analysis/atomicfield"
-	"github.com/eosdb/eos/internal/analysis/deadlock"
 	"github.com/eosdb/eos/internal/analysis/errwrap"
 	"github.com/eosdb/eos/internal/analysis/forcedom"
 	"github.com/eosdb/eos/internal/analysis/guardedby"
 	"github.com/eosdb/eos/internal/analysis/ignore"
-	"github.com/eosdb/eos/internal/analysis/leaksip"
 	"github.com/eosdb/eos/internal/analysis/lockorder"
 	"github.com/eosdb/eos/internal/analysis/pairs"
 	"github.com/eosdb/eos/internal/analysis/racecheck"
 	"github.com/eosdb/eos/internal/analysis/useafterunpin"
 	"github.com/eosdb/eos/internal/analysis/walfirst"
-	"github.com/eosdb/eos/internal/analysis/walfirstip"
 )
 
 const doc = `report //eoslint:ignore directives that suppress nothing
@@ -55,9 +52,6 @@ var Analyzer = &analysis.Analyzer{
 		errwrap.Analyzer,
 		useafterunpin.Analyzer,
 		guardedby.Analyzer,
-		deadlock.Analyzer,
-		walfirstip.Analyzer,
-		leaksip.Analyzer,
 		forcedom.Analyzer,
 		racecheck.Analyzer,
 	},

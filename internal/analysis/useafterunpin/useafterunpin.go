@@ -12,11 +12,13 @@
 // analyzer keeps the pattern out of the tree.
 //
 // The analyzer tracks the slice variable assigned from each Fix/FixNew
-// call through the function's control-flow graph.  From every
-// non-deferred Unpin/Discard of the same page expression, any
-// reachable use of the variable is reported: a read or write, a
-// return, or a capture by a function literal (a goroutine or closure
-// may run after the pin is gone even when it is created before).
+// call through the function's control-flow graph, walked with the ssa
+// path engine the pairs analyzer uses.  From every non-deferred
+// Unpin/Discard of the same page expression, any reachable use of the
+// variable is reported: a read or write, a return, or a capture by a
+// function literal (a goroutine or closure may run after the pin is
+// gone even when it is created before).  Each function literal is
+// checked as a function of its own.
 // Reassigning the variable — including re-fixing the page into it —
 // ends tracking on that path.
 //
@@ -29,17 +31,15 @@ package useafterunpin
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/cfg"
 
 	"github.com/eosdb/eos/internal/analysis/eosutil"
 	"github.com/eosdb/eos/internal/analysis/ignore"
+	"github.com/eosdb/eos/internal/analysis/ssa"
 )
 
 const doc = `report uses of a pinned page image after Unpin/Discard
@@ -54,7 +54,7 @@ path: a use is reported only when a release reaches it.`
 var Analyzer = &analysis.Analyzer{
 	Name:     "useafterunpin",
 	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer, ignore.Analyzer},
+	Requires: []*analysis.Analyzer{ssa.Analyzer, ignore.Analyzer},
 	Run:      run,
 }
 
@@ -67,35 +67,16 @@ type pinSite struct {
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
+	pr := pass.ResultOf[ssa.Analyzer].(*ssa.Program)
 	ig := ignore.For(pass)
-
-	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}
-	insp.Preorder(nodeFilter, func(n ast.Node) {
-		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
-			return
+	for _, f := range pr.All() {
+		if strings.HasSuffix(pass.Fset.Position(f.Body.Pos()).Filename, "_test.go") {
+			continue
 		}
-		var body *ast.BlockStmt
-		var g *cfg.CFG
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fn.Body == nil {
-				return
-			}
-			body = fn.Body
-			g = cfgs.FuncDecl(fn)
-		case *ast.FuncLit:
-			body = fn.Body
-			g = cfgs.FuncLit(fn)
+		for _, s := range collectSites(pass, f.Body) {
+			checkSite(pass, ig, f, s)
 		}
-		if g == nil {
-			return
-		}
-		for _, s := range collectSites(pass, body) {
-			checkSite(pass, ig, g, s)
-		}
-	})
+	}
 	return nil, nil
 }
 
@@ -138,26 +119,33 @@ func collectSites(pass *analysis.Pass, body *ast.BlockStmt) []*pinSite {
 	return sites
 }
 
-// checkSite walks forward from every release of s's page and reports
-// the first reachable use of the image variable on each path.
-func checkSite(pass *analysis.Pass, ig *ignore.Reporter, g *cfg.CFG, s *pinSite) {
-	reported := make(map[token]bool)
-	for _, b := range g.Blocks {
-		if !b.Live {
+// checkSite walks forward, with the ssa path engine, from every
+// release of s's page and reports the first reachable use of the image
+// variable on each path.
+func checkSite(pass *analysis.Pass, ig *ignore.Reporter, f *ssa.Func, s *pinSite) {
+	reported := make(map[token.Pos]bool)
+	for _, b := range f.Blocks {
+		if !b.Raw.Live {
 			continue
 		}
-		for i, n := range b.Nodes {
+		for i, n := range b.Raw.Nodes {
 			rel, ok := releaseOf(pass, n, s)
 			if !ok {
 				continue
 			}
-			seen := make(map[*cfg.Block]bool)
-			walkAfter(pass, ig, b, i+1, s, rel, seen, reported)
+			f.Walk(b, i, func(n ast.Node) bool {
+				use, kind := useIn(pass, n, s)
+				if use != nil && !reported[use.Pos()] {
+					reported[use.Pos()] = true
+					ig.Report(use.Pos(),
+						"page image %q %s after %s(%s); the unpinned frame may be evicted or rewritten",
+						s.img.Name(), kind, rel, s.page)
+				}
+				return use != nil || kind == killed
+			}, nil, nil)
 		}
 	}
 }
-
-type token struct{ pos, rel int }
 
 // releaseOf reports whether CFG node n non-deferredly releases s's
 // page, returning the release method name.
@@ -185,34 +173,6 @@ func releaseOf(pass *analysis.Pass, n ast.Node, s *pinSite) (string, bool) {
 		return true
 	})
 	return rel, rel != ""
-}
-
-// walkAfter scans nodes from (b, from) onward; the first use of the
-// image on each path is reported and the path is cut (a reassignment
-// also cuts it).
-func walkAfter(pass *analysis.Pass, ig *ignore.Reporter, b *cfg.Block, from int, s *pinSite, rel string, seen map[*cfg.Block]bool, reported map[token]bool) {
-	for i := from; i < len(b.Nodes); i++ {
-		switch use, kind := useIn(pass, b.Nodes[i], s); {
-		case use != nil:
-			key := token{int(use.Pos()), int(s.call.Pos())}
-			if !reported[key] {
-				reported[key] = true
-				ig.Report(use.Pos(),
-					"page image %q %s after %s(%s); the unpinned frame may be evicted or rewritten",
-					s.img.Name(), kind, rel, s.page)
-			}
-			return
-		case kind == killed:
-			return
-		}
-	}
-	for _, succ := range b.Succs {
-		if seen[succ] {
-			continue
-		}
-		seen[succ] = true
-		walkAfter(pass, ig, succ, 0, s, rel, seen, reported)
-	}
 }
 
 const (

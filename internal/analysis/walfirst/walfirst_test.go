@@ -7,6 +7,9 @@ import (
 	"github.com/eosdb/eos/internal/analysis/walfirst"
 )
 
+// TestWalfirst runs the direct-mutation fixtures and the call-chain
+// fixtures (walfirstip_*, named after the retired whole-program twin).
 func TestWalfirst(t *testing.T) {
-	analyzertest.Run(t, "../testdata", walfirst.Analyzer, "walfirst_bad", "walfirst_clean")
+	analyzertest.Run(t, "../testdata", walfirst.Analyzer,
+		"walfirst_bad", "walfirst_clean", "walfirstip_bad", "walfirstip_clean")
 }

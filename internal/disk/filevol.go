@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -37,10 +38,7 @@ type FileVolume struct {
 	numPages PageNum
 	direct   bool
 
-	// mu guards the closed flag.  Rank 62 in the lattice: taken after
-	// any engine latch, before accMu.
-	mu     sync.Mutex
-	closed bool // eos:guardedby mu
+	closed atomic.Bool // set once by the first Close
 
 	// accMu guards the accounting, exactly like the simulator's.  Held
 	// only for counter updates, never across I/O.
@@ -438,12 +436,8 @@ func (v *FileVolume) sync() error {
 
 // Close releases the file handle.  Idempotent.
 func (v *FileVolume) Close() error {
-	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
+	if !v.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	v.closed = true
-	v.mu.Unlock()
 	return v.f.Close()
 }
