@@ -7,9 +7,13 @@ import (
 	"github.com/eosdb/eos/internal/analysis/lockorder"
 )
 
-// TestLockorder runs the same-function fixtures and the call-chain
-// fixtures (deadlock_*, named after the retired whole-program twin).
 func TestLockorder(t *testing.T) {
-	analyzertest.Run(t, "../testdata", lockorder.Analyzer,
-		"lockorder_bad", "lockorder_clean", "deadlock_bad", "deadlock_clean")
+	analyzertest.Run(t, "../testdata", lockorder.Analyzer, "lockorder_bad", "lockorder_clean")
+}
+
+// TestInterprocedural runs the call-chain fixtures (deadlock_*, named
+// after the retired whole-program twin): lock-order inversions whose
+// acquisitions sit in different functions.
+func TestInterprocedural(t *testing.T) {
+	analyzertest.Run(t, "../testdata", lockorder.Analyzer, "deadlock_bad", "deadlock_clean")
 }
